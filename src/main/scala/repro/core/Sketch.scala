@@ -1,113 +1,102 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.Partitioner
+import org.apache.spark.sql.{DataFrame, Dataset}
 import org.apache.spark.sql.functions._
-
-/** One series' values within one basic window (sorted by time). */
-final case class Segment(sid: Int, bw: Int, vals: Array[Double])
 
 /** Per-series basic-window statistics (TSUBASA's per-series sketch). */
 final case class SeriesBw(sid: Int, bw: Int, cnt: Long, mean: Double, m2: Double)
 
-/** Per-pair per-basic-window statistics row (before assembly into arrays). */
-final case class PairBw(i: Int, j: Int, bw: Int,
-                        meanX: Double, m2x: Double,
-                        meanY: Double, m2y: Double, cp: Double)
-
 /** One series' full raw values over the query range — naive baseline input. */
 final case class SeriesArr(sid: Int, vals: Array[Double])
 
+/** One series' values over the query range, with each basic window's mean and m2. */
+final case class SeriesRow(sid: Int, vals: Array[Double], mean: Array[Double], m2: Array[Double])
+
+/** Tile ``(bi ≤ bj)`` of the all-pairs grid: the series of blocks ``bi`` and
+  * ``bj`` by sid, ``blockJ`` empty on the diagonal.
+  */
+final case class Tile(bi: Int, bj: Int, blockI: Array[SeriesRow], blockJ: Array[SeriesRow])
+
 /** The basic-window sketch substrate, shared by Dangoron and TSUBASA.
   *
-  * Input contract throughout: a long-format DataFrame with columns
-  * ``sid`` (int), ``t`` (long, dense time steps), ``v`` (double). Sketch
-  * construction is pure DataFrame/Dataset work: one shuffle to segment the
-  * series into basic windows, one join on the basic-window id to form all
-  * N(N−1)/2 pair statistics, one shuffle to assemble per-pair arrays.
+  * Input contract throughout: a long-format DataFrame with columns ``sid``
+  * (int), ``t`` (long), ``v`` (double), one finite reading per series and time
+  * step of the query range. Construction tiles the pair space as ParCorr does:
+  * [[segments]] gathers each series into one row with its basic-window stats;
+  * [[pairStats]] sends it to the ``k`` tiles of its block ``sid % k``, one tile
+  * per partition; [[pairSketches]] computes each tile's pairs in a ``flatMap``.
   */
 object Sketch {
 
-  /** Segment the query range into basic windows, values time-ordered. */
-  def segments(values: DataFrame, q: SlidingQuery): Dataset[Segment] = {
+  /** Series blocks ``k``: the least giving three tiles per core, so that tiles of unequal size balance. */
+  private[core] def blockCount(parallelism: Int): Int =
+    Iterator.from(1).find(k => k * (k + 1) / 2 >= 3 * parallelism).get
+
+  /** One row per series with its basic-window stats. */
+  def segments(values: DataFrame, q: SlidingQuery): Dataset[SeriesRow] = {
     val spark = values.sparkSession
     import spark.implicits._
-    val start = q.start; val end = q.end; val b = q.bwSize
-    values
-      .select(col("sid").cast("int"), col("t").cast("long"), col("v").cast("double"))
-      .where(col("t") >= start && col("t") < end)
-      .as[(Int, Long, Double)]
-      .groupByKey { case (sid, t, _) => (sid, ((t - start) / b).toInt) }
-      .mapGroups { (key, rows) =>
-        Segment(key._1, key._2, rows.toArray.sortBy(_._2).map(_._3))
-      }
-  }
-
-  /** Per-series basic-window stats from segments. */
-  def seriesStats(segs: Dataset[Segment]): Dataset[SeriesBw] = {
-    val spark = segs.sparkSession
-    import spark.implicits._
-    segs.map { s =>
-      val (mean, m2) = meanM2(s.vals)
-      SeriesBw(s.sid, s.bw, s.vals.length.toLong, mean, m2)
+    val b = q.bwSize
+    seriesArrays(values, q).map { sa =>
+      val stats = Array.tabulate(sa.vals.length / b)(t => meanM2(sa.vals.slice(t * b, (t + 1) * b)))
+      SeriesRow(sa.sid, sa.vals, stats.map(_._1), stats.map(_._2))
     }
   }
 
-  /** All-pairs per-basic-window stats: segments self-joined on the basic
-    * window id (i < j), centered cross products computed per row. This is
-    * the expensive precompute both frameworks share.
-    */
-  def pairStats(segs: Dataset[Segment]): Dataset[PairBw] = {
-    val spark = segs.sparkSession
+  /** Per-series basic-window stats, one row per (series, basic window). */
+  def seriesStats(series: Dataset[SeriesRow]): Dataset[SeriesBw] = {
+    val spark = series.sparkSession
     import spark.implicits._
-    val a = segs.toDF("sid", "bw", "vals").alias("a")
-    val b = segs.toDF("sid", "bw", "vals").alias("b")
-    a.join(b, col("a.bw") === col("b.bw") && col("a.sid") < col("b.sid"))
-      .select(
-        col("a.sid").as("i"), col("b.sid").as("j"), col("a.bw").as("bw"),
-        col("a.vals").as("xs"), col("b.vals").as("ys"))
-      .as[(Int, Int, Int, Array[Double], Array[Double])]
-      .map { case (i, j, bw, xs, ys) =>
-        require(xs.length == ys.length, s"ragged basic window bw=$bw for pair ($i,$j)")
-        val (mx, m2x) = meanM2(xs)
-        val (my, m2y) = meanM2(ys)
-        var cpv = 0.0
-        var u = 0
-        while (u < xs.length) { cpv += (xs(u) - mx) * (ys(u) - my); u += 1 }
-        PairBw(i, j, bw, mx, m2x, my, m2y, cpv)
-      }
+    series.flatMap { s =>
+      s.mean.indices.map(t => SeriesBw(s.sid, t, s.vals.length / s.mean.length, s.mean(t), s.m2(t)))
+    }
   }
 
-  /** Assemble per-pair array sketches (one row per pair, arrays indexed by
-    * local basic-window id). Requires every pair to have all ``nBw`` basic
-    * windows — synthetic inputs here are dense.
-    */
-  def pairSketches(pairBw: Dataset[PairBw], q: SlidingQuery): Dataset[PairSketch] = {
-    val spark = pairBw.sparkSession
+  /** One row per tile of the all-pairs grid, alone in its partition. */
+  def pairStats(series: Dataset[SeriesRow]): Dataset[Tile] = {
+    val spark = series.sparkSession
     import spark.implicits._
-    val nBw = q.nBw
-    pairBw
-      .groupByKey(r => (r.i, r.j))
-      .mapGroups { (key, rows) =>
-        val (i, j) = key
-        val meanX = new Array[Double](nBw); val m2x = new Array[Double](nBw)
-        val meanY = new Array[Double](nBw); val m2y = new Array[Double](nBw)
-        val cp = new Array[Double](nBw)
-        var seen = 0
-        rows.foreach { r =>
-          meanX(r.bw) = r.meanX; m2x(r.bw) = r.m2x
-          meanY(r.bw) = r.meanY; m2y(r.bw) = r.m2y
-          cp(r.bw) = r.cp; seen += 1
-        }
-        require(seen == nBw, s"pair ($i,$j) has $seen of $nBw basic windows — input not dense")
-        PairSketch(i, j, meanX, m2x, meanY, m2y, cp)
+    val k = blockCount(spark.sparkContext.defaultParallelism)
+    def block(sid: Int) = Math.floorMod(sid, k) // a block with no series leaves its tiles empty
+    val tiles = series.rdd
+      .flatMap(s => (0 until k).map(o => (math.min(block(s.sid), o), math.max(block(s.sid), o)) -> s))
+      .groupByKey(new Partitioner { // tile (bi, bj) alone in partition bj(bj+1)/2 + bi
+        def numPartitions: Int = k * (k + 1) / 2
+        def getPartition(key: Any): Int = key match { case (bi: Int, bj: Int) => bj * (bj + 1) / 2 + bi }
+      })
+      .map { case ((bi, bj), rows) =>
+        val (blockI, blockJ) = rows.toArray.sortBy(_.sid).partition(s => block(s.sid) == bi)
+        Tile(bi, bj, blockI, blockJ)
       }
+    spark.createDataset(tiles)
+  }
+
+  /** The sketch of every pair in each tile, emitted lazily: a task holds a
+    * tile's series, never its pairs.
+    */
+  def pairSketches(tiles: Dataset[Tile], q: SlidingQuery): Dataset[PairSketch] = {
+    val spark = tiles.sparkSession
+    import spark.implicits._
+    val b = q.bwSize
+    tiles.flatMap { tile =>
+      val (is, js) = (tile.blockI, tile.blockJ)
+      val pairs =
+        if (tile.bi == tile.bj)
+          for (x <- is.indices.iterator; y <- (x + 1 until is.length).iterator) yield (is(x), is(y))
+        else for (x <- is.iterator; y <- js.iterator) yield if (x.sid < y.sid) (x, y) else (y, x)
+      pairs.map { case (x, y) => PairSketch(x.sid, y.sid, x.mean, x.m2, y.mean, y.m2, crossProducts(x, y, b)) }
+    }
   }
 
   /** Build pair sketches straight from raw values. */
   def build(values: DataFrame, q: SlidingQuery): Dataset[PairSketch] =
     pairSketches(pairStats(segments(values, q)), q)
 
-  /** Full raw series arrays over the query range (naive baseline, ParCorr). */
+  /** Each series' values over the query range; the one gather behind
+    * [[segments]], NaiveCorr and ParCorr. A duplicate, missing, NaN or
+    * infinite reading fails with an IllegalArgumentException naming sid and t.
+    */
   def seriesArrays(values: DataFrame, q: SlidingQuery): Dataset[SeriesArr] = {
     val spark = values.sparkSession
     import spark.implicits._
@@ -118,10 +107,14 @@ object Sketch {
       .as[(Int, Long, Double)]
       .groupByKey(_._1)
       .mapGroups { (sid, rows) =>
-        val arr = new Array[Double](len)
-        var seen = 0
-        rows.foreach { case (_, t, v) => arr((t - start).toInt) = v; seen += 1 }
-        require(seen == len, s"series $sid has $seen of $len points — input not dense")
+        val arr = Array.fill(len)(Double.NaN) // NaN: no reading yet (NaN readings are rejected)
+        rows.foreach { case (_, t, v) =>
+          require(!v.isNaN && !v.isInfinite, s"non-finite value $v at sid=$sid, t=$t")
+          require(arr((t - start).toInt).isNaN, s"duplicate reading at sid=$sid, t=$t")
+          arr((t - start).toInt) = v
+        }
+        val hole = arr.indexWhere(_.isNaN)
+        require(hole < 0, s"missing reading at sid=$sid, t=${start + hole}")
         SeriesArr(sid, arr)
       }
   }
@@ -136,6 +129,16 @@ object Sketch {
       .select(col("a.sid"), col("b.sid"), col("a.vals"), col("b.vals"))
       .as[(Int, Int, Array[Double], Array[Double])]
   }
+
+  /** Per basic window ``t``, ``Σ (x − meanX(t))(y − meanY(t))`` in time order. */
+  private def crossProducts(x: SeriesRow, y: SeriesRow, b: Int): Array[Double] =
+    Array.tabulate(x.mean.length) { t =>
+      val (mx, my) = (x.mean(t), y.mean(t))
+      var cp = 0.0
+      var u = t * b
+      while (u < (t + 1) * b) { cp += (x.vals(u) - mx) * (y.vals(u) - my); u += 1 }
+      cp
+    }
 
   /** Mean and centered sum of squares in one pass. */
   def meanM2(vals: Array[Double]): (Double, Double) = {

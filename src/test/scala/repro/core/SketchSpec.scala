@@ -1,5 +1,7 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
+
 import repro.{SparkSpec, SparkTestData, Oracle}
 
 class SketchSpec extends SparkSpec {
@@ -10,24 +12,53 @@ class SketchSpec extends SparkSpec {
   private lazy val matrix = SparkTestData.panel(51L, n, len)
   private lazy val values = SparkTestData.toValuesDf(spark, matrix)
   private lazy val q = SlidingQuery(0L, len.toLong, windowLen = 32, step = 8, beta = 0.5, bwSize = 8)
+  /** Query over raw steps [16, 80): local basic window 0 starts at t = 16. */
+  private lazy val q16 = SlidingQuery(16L, 80L, windowLen = 32, step = 8, beta = 0.5, bwSize = 8)
 
-  test("segments: one per (sid, bw), values in time order") {
-    val segs = Sketch.segments(values, q).collect()
-    assert(segs.length === n * q.nBw)
-    segs.foreach { s =>
-      assert(s.vals.length === q.bwSize)
-      s.vals.indices.foreach { u =>
-        assert(s.vals(u) === matrix(s.sid)(s.bw * q.bwSize + u))
+  private def blocks = Sketch.blockCount(spark.sparkContext.defaultParallelism)
+
+  /** Every array of ``got`` equals the local builder's, bit for bit. */
+  private def assertBitIdentical(got: PairSketch, m: Array[Array[Double]], qq: SlidingQuery): Unit = {
+    val (from, until) = (qq.start.toInt, qq.end.toInt)
+    val want = sketchOf(m(got.i).slice(from, until), m(got.j).slice(from, until), qq.bwSize, got.i, got.j)
+    assert(got.meanX === want.meanX, s"meanX of (${got.i},${got.j})")
+    assert(got.m2x === want.m2x, s"m2x of (${got.i},${got.j})")
+    assert(got.meanY === want.meanY, s"meanY of (${got.i},${got.j})")
+    assert(got.m2y === want.m2y, s"m2y of (${got.i},${got.j})")
+    assert(got.cp === want.cp, s"cp of (${got.i},${got.j})")
+  }
+
+  /** The ``IllegalArgumentException`` a sketch build of ``bad`` fails with
+    * (Spark wraps a task's exception in its own).
+    */
+  private def rejection(bad: DataFrame): IllegalArgumentException = {
+    val ex = intercept[Exception](Sketch.build(bad, q).collect())
+    Iterator.iterate[Throwable](ex)(_.getCause).takeWhile(_ != null)
+      .collectFirst { case e: IllegalArgumentException => e }
+      .getOrElse(fail(s"no IllegalArgumentException behind $ex"))
+  }
+
+  test("segments: one row per series, dense values and per-basic-window stats") {
+    val rows = Sketch.segments(values, q).collect()
+    assert(rows.map(_.sid).sorted.toSeq === (0 until n))
+    rows.foreach { s =>
+      assert(s.vals === matrix(s.sid))
+      assert(s.mean.length === q.nBw && s.m2.length === q.nBw)
+      for (t <- 0 until q.nBw) {
+        val (mean, m2) = Sketch.meanM2(matrix(s.sid).slice(t * q.bwSize, (t + 1) * q.bwSize))
+        assert(s.mean(t) === mean && s.m2(t) === m2)
       }
     }
   }
 
   test("segments respect a non-zero query start") {
-    val q2 = SlidingQuery(16L, 80L, windowLen = 32, step = 8, beta = 0.5, bwSize = 8)
-    val segs = Sketch.segments(values, q2).collect()
-    assert(segs.length === n * q2.nBw)
-    val seg0 = segs.find(s => s.sid == 0 && s.bw == 0).get
-    seg0.vals.indices.foreach(u => assert(seg0.vals(u) === matrix(0)(16 + u)))
+    val rows = Sketch.segments(values, q16).collect()
+    assert(rows.length === n)
+    rows.foreach { s =>
+      assert(s.vals === matrix(s.sid).slice(16, 80))
+      assert(s.mean.length === q16.nBw)
+      assert(s.mean(0) === Sketch.meanM2(matrix(s.sid).slice(16, 24))._1)
+    }
   }
 
   test("seriesStats match local mean/m2") {
@@ -57,37 +88,50 @@ class SketchSpec extends SparkSpec {
     Oracle.assertEquivalent(sparkDf, sql, "ts" -> values)
   }
 
-  test("pairStats: all i<j pairs for every basic window, cp correct") {
-    val ps = Sketch.pairStats(Sketch.segments(values, q)).collect()
-    assert(ps.length === n * (n - 1) / 2 * q.nBw)
-    ps.foreach { p =>
-      assert(p.i < p.j)
-      val xs = matrix(p.i).slice(p.bw * q.bwSize, (p.bw + 1) * q.bwSize)
-      val ys = matrix(p.j).slice(p.bw * q.bwSize, (p.bw + 1) * q.bwSize)
-      val (mx, m2x) = Sketch.meanM2(xs)
-      val (my, m2y) = Sketch.meanM2(ys)
-      val cp = xs.indices.map(u => (xs(u) - mx) * (ys(u) - my)).sum
-      assert(math.abs(p.meanX - mx) < 1e-9)
-      assert(math.abs(p.m2x - m2x) < 1e-9)
-      assert(math.abs(p.meanY - my) < 1e-9)
-      assert(math.abs(p.m2y - m2y) < 1e-9)
-      assert(math.abs(p.cp - cp) < 1e-9)
+  test("pairStats: one tile per partition, each series in the tiles of its block") {
+    val m = Array.tabulate(23)(sid => series(61L, sid, len))
+    val k = blocks
+    val parts = Sketch.pairStats(Sketch.segments(SparkTestData.toValuesDf(spark, m), q)).rdd.glom().collect()
+    assert(parts.length === k * (k + 1) / 2)
+    assert(parts.forall(_.length <= 1))
+    val tiles = parts.flatten
+    assert(tiles.map(t => (t.bi, t.bj)).toSet ===
+      (for (bj <- 0 until k; bi <- 0 to bj if bi < 23) yield (bi, bj)).toSet)
+    tiles.foreach { t =>
+      assert(t.blockI.map(_.sid).toSeq === (0 until 23).filter(_ % k == t.bi))
+      assert(t.blockJ.map(_.sid).toSeq === (if (t.bi == t.bj) Nil else (0 until 23).filter(_ % k == t.bj)))
     }
   }
 
   test("pairSketches assemble arrays identical to the local builder") {
     val sks = Sketch.build(values, q).collect()
     assert(sks.length === n * (n - 1) / 2)
-    sks.foreach { sk =>
-      val local = sketchOf(matrix(sk.i), matrix(sk.j), q.bwSize, sk.i, sk.j)
-      for (t <- 0 until q.nBw) {
-        assert(math.abs(sk.meanX(t) - local.meanX(t)) < 1e-9)
-        assert(math.abs(sk.m2x(t) - local.m2x(t)) < 1e-9)
-        assert(math.abs(sk.meanY(t) - local.meanY(t)) < 1e-9)
-        assert(math.abs(sk.m2y(t) - local.m2y(t)) < 1e-9)
-        assert(math.abs(sk.cp(t) - local.cp(t)) < 1e-9)
-      }
+    sks.foreach(assertBitIdentical(_, matrix, q))
+  }
+
+  for (nSeries <- Seq(2, 3, 7, 23))
+    test(s"build is bit-identical to the local builder, one sketch per pair (N=$nSeries, non-zero start)") {
+      val m = Array.tabulate(nSeries)(sid => series(60L + nSeries, sid, len))
+      val sks = Sketch.build(SparkTestData.toValuesDf(spark, m), q16).collect()
+      assert(sks.map(sk => (sk.i, sk.j)).sorted.toSeq ===
+        (for (i <- 0 until nSeries; j <- i + 1 until nSeries) yield (i, j)))
+      sks.foreach(assertBitIdentical(_, m, q16))
     }
+
+  test("build of a single series is empty") {
+    val v1 = SparkTestData.toValuesDf(spark, Array(series(62L, 0, len)))
+    assert(Sketch.build(v1, q).count() === 0)
+  }
+
+  test("every non-empty sketch partition holds the pairs of one tile") {
+    val m = Array.tabulate(23)(sid => series(63L, sid, len))
+    val k = blocks
+    def tile(i: Int, j: Int) = (math.min(i % k, j % k), math.max(i % k, j % k))
+    val tilesPerPart = Sketch.build(SparkTestData.toValuesDf(spark, m), q).rdd
+      .mapPartitions(it => Iterator(it.map(sk => tile(sk.i, sk.j)).toSet))
+      .collect().filter(_.nonEmpty)
+    assert(tilesPerPart.forall(_.size == 1))
+    assert(tilesPerPart.length === (for (i <- 0 until 23; j <- i + 1 until 23) yield tile(i, j)).distinct.length)
   }
 
   test("sketch windowCorr equals direct Pearson on the distributed sketch") {
@@ -115,13 +159,30 @@ class SketchSpec extends SparkSpec {
       (for (i <- 0 until n; j <- (i + 1) until n) yield (i, j)).toSet)
   }
 
-  test("pairSketches reject non-dense input (ragged pair windows)") {
-    // punch a hole in ONE series only, so pair basic windows go ragged
-    val sparse = values.where("NOT (sid = 0 AND t = 13)")
-    val ex = intercept[Exception] {
-      Sketch.build(sparse, q).collect()
+  test("segments reject a missing reading, naming its sid and t") {
+    val ex = rejection(values.where("NOT (sid = 0 AND t = 13)"))
+    assert(ex.getMessage.contains("missing reading at sid=0, t=13"), ex.getMessage)
+  }
+
+  test("segments reject a duplicate reading, naming its sid and t") {
+    val ex = rejection(values.union(values.where("sid = 3 AND t = 40")))
+    assert(ex.getMessage.contains("duplicate reading at sid=3, t=40"), ex.getMessage)
+  }
+
+  test("segments reject a duplicate and a missing reading in one basic window") {
+    // Basic window 1 of series 2 still holds 8 readings: t = 9 twice, no t = 14.
+    val bad = values.where("NOT (sid = 2 AND t = 14)").union(values.where("sid = 2 AND t = 9"))
+    val ex = rejection(bad)
+    assert(ex.getMessage.contains("duplicate reading at sid=2, t=9"), ex.getMessage)
+  }
+
+  test("segments reject NaN and infinite values, naming sid and t") {
+    import org.apache.spark.sql.functions._
+    for (bad <- Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity)) {
+      val v = when(col("sid") === 4 && col("t") === 70, lit(bad)).otherwise(col("v"))
+      val ex = rejection(values.withColumn("v", v))
+      assert(ex.getMessage.contains(s"non-finite value $bad at sid=4, t=70"), ex.getMessage)
     }
-    assert(ex.getMessage != null)
   }
 
   test("sketch build handles a single pair (n=2)") {
