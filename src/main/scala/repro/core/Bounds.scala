@@ -11,11 +11,9 @@ package repro.core
   *
   * Because ``1 − c_t ≥ 0`` the bound is monotone non-decreasing in ``k``, so
   * the largest skippable ``k`` is found by binary search over prefix sums —
-  * exactly the paper's "jumping structure" (Fig. 2). The symmetric lower
-  * bound (apply the upper bound to ``corr(x, −y)``) supports adjacency-only
-  * queries. The bound is a heuristic: on data violating the assumption a
-  * skipped window may actually be above β, which is why the paper reports
-  * accuracy >90%, not 100%.
+  * exactly the paper's "jumping structure" (Fig. 2). The bound is a
+  * heuristic: on data violating the assumption a skipped window may actually
+  * be above β, which is why the paper reports accuracy >90%, not 100%.
   *
   * '''Triangle (horizontal) bound.''' For any three series, PSD-ness of the
   * correlation matrix gives the hard guarantee
@@ -35,16 +33,6 @@ object Bounds {
     p
   }
 
-  /** Prefix sums ``Σ (1 + c_u)`` for the symmetric lower bound (c = +1 when
-    * undefined — conservative for a lower bound).
-    */
-  def lowerPrefix(sk: PairSketch): Array[Double] = {
-    val p = new Array[Double](sk.nBw + 1)
-    var t = 0
-    while (t < sk.nBw) { p(t + 1) = p(t) + (1.0 + PairMath.bwCorr(sk, t, fallback = 1.0)); t += 1 }
-    p
-  }
-
   /** Eq. 2 upper bound on ``Corr_{w+k}`` given the exact ``corrW`` at window
     * ``w``. ``inStart`` is the local index of the first basic window that
     * enters after window ``w`` (i.e. ``w·s + n_s``); skipping ``k`` windows
@@ -52,10 +40,6 @@ object Bounds {
     */
   def upperBound(corrW: Double, prefix: Array[Double], inStart: Int, k: Int, s: Int, nS: Int): Double =
     corrW + (prefix(inStart + k * s) - prefix(inStart)) / nS
-
-  /** Symmetric lower bound on ``Corr_{w+k}``. */
-  def lowerBound(corrW: Double, prefix: Array[Double], inStart: Int, k: Int, s: Int, nS: Int): Double =
-    corrW - (prefix(inStart + k * s) - prefix(inStart)) / nS
 
   /** Largest ``k ∈ [0, kMax]`` such that every window ``w+1 .. w+k`` is
     * upper-bounded below ``beta`` (all skippable). Returns 0 when not even

@@ -7,16 +7,22 @@ import org.apache.spark.sql.functions._
 /** Per-series basic-window statistics (TSUBASA's per-series sketch). */
 final case class SeriesBw(sid: Int, bw: Int, cnt: Long, mean: Double, m2: Double)
 
-/** One series' full raw values over the query range — naive baseline input. */
-final case class SeriesArr(sid: Int, vals: Array[Double])
-
 /** One series' values over the query range, with each basic window's mean and m2. */
 final case class SeriesRow(sid: Int, vals: Array[Double], mean: Array[Double], m2: Array[Double])
 
 /** Tile ``(bi ≤ bj)`` of the all-pairs grid: the series of blocks ``bi`` and
   * ``bj`` by sid, ``blockJ`` empty on the diagonal.
   */
-final case class Tile(bi: Int, bj: Int, blockI: Array[SeriesRow], blockJ: Array[SeriesRow])
+final case class Tile(bi: Int, bj: Int, blockI: Array[SeriesRow], blockJ: Array[SeriesRow]) {
+
+  /** Every pair of the tile once, lower sid first, emitted lazily: a task
+    * holds a tile's series, never its pairs.
+    */
+  def pairs: Iterator[(SeriesRow, SeriesRow)] =
+    if (bi == bj)
+      for (x <- blockI.indices.iterator; y <- (x + 1 until blockI.length).iterator) yield (blockI(x), blockI(y))
+    else for (x <- blockI.iterator; y <- blockJ.iterator) yield if (x.sid < y.sid) (x, y) else (y, x)
+}
 
 /** The basic-window sketch substrate, shared by Dangoron and TSUBASA.
   *
@@ -26,6 +32,7 @@ final case class Tile(bi: Int, bj: Int, blockI: Array[SeriesRow], blockJ: Array[
   * [[segments]] gathers each series into one row with its basic-window stats;
   * [[pairStats]] sends it to the ``k`` tiles of its block ``sid % k``, one tile
   * per partition; [[pairSketches]] computes each tile's pairs in a ``flatMap``.
+  * The tiles are the one pair grid: NaiveCorr and ParCorr read them too.
   */
 object Sketch {
 
@@ -33,15 +40,31 @@ object Sketch {
   private[core] def blockCount(parallelism: Int): Int =
     Iterator.from(1).find(k => k * (k + 1) / 2 >= 3 * parallelism).get
 
-  /** One row per series with its basic-window stats. */
+  /** One row per series with its basic-window stats. A duplicate, missing,
+    * NaN or infinite reading fails with an IllegalArgumentException naming
+    * sid and t.
+    */
   def segments(values: DataFrame, q: SlidingQuery): Dataset[SeriesRow] = {
     val spark = values.sparkSession
     import spark.implicits._
-    val b = q.bwSize
-    seriesArrays(values, q).map { sa =>
-      val stats = Array.tabulate(sa.vals.length / b)(t => meanM2(sa.vals.slice(t * b, (t + 1) * b)))
-      SeriesRow(sa.sid, sa.vals, stats.map(_._1), stats.map(_._2))
-    }
+    val start = q.start; val end = q.end; val len = (end - start).toInt; val b = q.bwSize
+    values
+      .select(col("sid").cast("int"), col("t").cast("long"), col("v").cast("double"))
+      .where(col("t") >= start && col("t") < end)
+      .as[(Int, Long, Double)]
+      .groupByKey(_._1)
+      .mapGroups { (sid, rows) =>
+        val vals = Array.fill(len)(Double.NaN) // NaN: no reading yet (NaN readings are rejected)
+        rows.foreach { case (_, t, v) =>
+          require(!v.isNaN && !v.isInfinite, s"non-finite value $v at sid=$sid, t=$t")
+          require(vals((t - start).toInt).isNaN, s"duplicate reading at sid=$sid, t=$t")
+          vals((t - start).toInt) = v
+        }
+        val hole = vals.indexWhere(_.isNaN)
+        require(hole < 0, s"missing reading at sid=$sid, t=${start + hole}")
+        val stats = Array.tabulate(len / b)(t => meanM2(vals.slice(t * b, (t + 1) * b)))
+        SeriesRow(sid, vals, stats.map(_._1), stats.map(_._2))
+      }
   }
 
   /** Per-series basic-window stats, one row per (series, basic window). */
@@ -72,63 +95,19 @@ object Sketch {
     spark.createDataset(tiles)
   }
 
-  /** The sketch of every pair in each tile, emitted lazily: a task holds a
-    * tile's series, never its pairs.
-    */
+  /** The sketch of every pair in each tile, emitted lazily. */
   def pairSketches(tiles: Dataset[Tile], q: SlidingQuery): Dataset[PairSketch] = {
     val spark = tiles.sparkSession
     import spark.implicits._
     val b = q.bwSize
-    tiles.flatMap { tile =>
-      val (is, js) = (tile.blockI, tile.blockJ)
-      val pairs =
-        if (tile.bi == tile.bj)
-          for (x <- is.indices.iterator; y <- (x + 1 until is.length).iterator) yield (is(x), is(y))
-        else for (x <- is.iterator; y <- js.iterator) yield if (x.sid < y.sid) (x, y) else (y, x)
-      pairs.map { case (x, y) => PairSketch(x.sid, y.sid, x.mean, x.m2, y.mean, y.m2, crossProducts(x, y, b)) }
-    }
+    tiles.flatMap(_.pairs.map { case (x, y) =>
+      PairSketch(x.sid, y.sid, x.mean, x.m2, y.mean, y.m2, crossProducts(x, y, b))
+    })
   }
 
   /** Build pair sketches straight from raw values. */
   def build(values: DataFrame, q: SlidingQuery): Dataset[PairSketch] =
     pairSketches(pairStats(segments(values, q)), q)
-
-  /** Each series' values over the query range; the one gather behind
-    * [[segments]], NaiveCorr and ParCorr. A duplicate, missing, NaN or
-    * infinite reading fails with an IllegalArgumentException naming sid and t.
-    */
-  def seriesArrays(values: DataFrame, q: SlidingQuery): Dataset[SeriesArr] = {
-    val spark = values.sparkSession
-    import spark.implicits._
-    val start = q.start; val end = q.end; val len = (end - start).toInt
-    values
-      .select(col("sid").cast("int"), col("t").cast("long"), col("v").cast("double"))
-      .where(col("t") >= start && col("t") < end)
-      .as[(Int, Long, Double)]
-      .groupByKey(_._1)
-      .mapGroups { (sid, rows) =>
-        val arr = Array.fill(len)(Double.NaN) // NaN: no reading yet (NaN readings are rejected)
-        rows.foreach { case (_, t, v) =>
-          require(!v.isNaN && !v.isInfinite, s"non-finite value $v at sid=$sid, t=$t")
-          require(arr((t - start).toInt).isNaN, s"duplicate reading at sid=$sid, t=$t")
-          arr((t - start).toInt) = v
-        }
-        val hole = arr.indexWhere(_.isNaN)
-        require(hole < 0, s"missing reading at sid=$sid, t=${start + hole}")
-        SeriesArr(sid, arr)
-      }
-  }
-
-  /** All ordered pairs (i < j) of full raw series. */
-  def seriesPairs(arrs: Dataset[SeriesArr]): Dataset[(Int, Int, Array[Double], Array[Double])] = {
-    val spark = arrs.sparkSession
-    import spark.implicits._
-    val a = arrs.toDF("sid", "vals").alias("a")
-    val b = arrs.toDF("sid", "vals").alias("b")
-    a.join(b, col("a.sid") < col("b.sid"))
-      .select(col("a.sid"), col("b.sid"), col("a.vals"), col("b.vals"))
-      .as[(Int, Int, Array[Double], Array[Double])]
-  }
 
   /** Per basic window ``t``, ``Σ (x − meanX(t))(y − meanY(t))`` in time order. */
   private def crossProducts(x: SeriesRow, y: SeriesRow, b: Int): Array[Double] =

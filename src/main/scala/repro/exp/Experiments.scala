@@ -76,11 +76,10 @@ object Experiments {
     */
   def table1(spark: SparkSession, values: DataFrame, qBase: SlidingQuery,
              betas: Seq[Double], runNaive: Boolean): Seq[T1Row] = {
-    val sketches = Sketch.build(values, qBase).persist(StorageLevel.MEMORY_AND_DISK)
+    val tiles = Sketch.pairStats(Sketch.segments(values, qBase))
+    if (runNaive) tiles.persist(StorageLevel.MEMORY_AND_DISK) // the naive rows read it again
+    val sketches = Sketch.pairSketches(tiles, qBase).persist(StorageLevel.MEMORY_AND_DISK)
     sketches.count() // materialize — sketch build excluded from query time
-    val arrs =
-      if (runNaive) Some { val a = Sketch.seriesArrays(values, qBase).persist(StorageLevel.MEMORY_AND_DISK); a.count(); a }
-      else None
     // Warm-up run (JIT, codegen, shuffle setup) — not timed.
     locally { val (ds, _) = Dangoron.edges(sketches, qBase); ds.count() }
     locally { val (ds, _) = Tsubasa.edges(sketches, qBase); ds.count() }
@@ -96,14 +95,13 @@ object Experiments {
         T1Row("Dangoron", beta, dangoronSec, dangoronEdges, dSt.computedWindows,
           dSt.skippedFraction, tsubasaSec / dangoronSec,
           tSt.computedWindows.toDouble / math.max(1L, dSt.computedWindows)))
-      val naiveRow = arrs.map { a =>
-        val (nEdges, nSec) = time { NaiveCorr.edgesFromArrays(a, q).count() }
+      val naiveRow = Option.when(runNaive) {
+        val (nEdges, nSec) = time { NaiveCorr.edges(tiles, q).count() }
         T1Row("Naive", beta, nSec, nEdges, tSt.computedWindows, 0.0, tsubasaSec / nSec, 1.0)
       }
       base ++ naiveRow
     }
-    sketches.unpersist()
-    arrs.foreach(_.unpersist())
+    sketches.unpersist(); tiles.unpersist()
     rows
   }
 
@@ -123,28 +121,23 @@ object Experiments {
   /** Table 2 — edge accuracy vs exact, Dangoron vs ParCorr. */
   def table2(spark: SparkSession, values: DataFrame, qBase: SlidingQuery,
              betas: Seq[Double], parcorrD: Int = 32): Seq[T2Row] = {
-    val nPairs = {
-      val n = values.select("sid").distinct().count()
-      n * (n - 1) / 2
-    }
-    val truth = NaiveCorr.allCorrs(values, qBase).persist(StorageLevel.MEMORY_AND_DISK)
+    val tiles = Sketch.pairStats(Sketch.segments(values, qBase)).persist(StorageLevel.MEMORY_AND_DISK)
+    val truth = NaiveCorr.allCorrs(tiles, qBase).persist(StorageLevel.MEMORY_AND_DISK)
     truth.count()
-    val sketches = Sketch.build(values, qBase).persist(StorageLevel.MEMORY_AND_DISK)
-    sketches.count()
-    val arrs = Sketch.seriesArrays(values, qBase).persist(StorageLevel.MEMORY_AND_DISK)
-    arrs.count()
+    val sketches = Sketch.pairSketches(tiles, qBase).persist(StorageLevel.MEMORY_AND_DISK)
+    val nPairs = sketches.count()
     val total = nPairs * qBase.numWindows
     val rows = betas.flatMap { beta =>
       val q = qBase.copy(beta = beta)
       val (dEdges, _) = Dangoron.edges(sketches, q)
       val dAcc = Metrics.compare(dEdges, truth, beta, total)
-      val pEdges = ParCorr.edges(arrs, q, d = parcorrD)
+      val pEdges = ParCorr.edges(tiles, q, d = parcorrD)
       val pAcc = Metrics.compare(pEdges, truth, beta, total)
       Seq(
         T2Row("Dangoron", beta, dAcc.accuracy, dAcc.precision, dAcc.recall, dAcc.f1, dAcc.maxCorrErrOnHits),
         T2Row(s"ParCorr(d=$parcorrD)", beta, pAcc.accuracy, pAcc.precision, pAcc.recall, pAcc.f1, pAcc.maxCorrErrOnHits))
     }
-    truth.unpersist(); sketches.unpersist(); arrs.unpersist()
+    truth.unpersist(); sketches.unpersist(); tiles.unpersist()
     rows
   }
 
@@ -164,29 +157,27 @@ object Experiments {
              spectra: Seq[(String, Spectrum)]): Seq[T3Row] = {
     spectra.flatMap { case (name, spec) =>
       val tspec = TomborgSpec(n = n, len = len, clusters = 8, rho = 0.8, spectrum = spec)
-      val values = Tomborg.generate(spark, tspec).persist(StorageLevel.MEMORY_AND_DISK)
-      values.count()
       val q = SlidingQuery(0L, len.toLong, windowLen = len / 8, step = len / 64, beta = beta, bwSize = len / 64)
       val nPairs = n.toLong * (n - 1) / 2
       val total = nPairs * q.numWindows
-      val truth = NaiveCorr.allCorrs(values, q).persist(StorageLevel.MEMORY_AND_DISK)
+      val values = Tomborg.generate(spark, tspec)
+      val tiles = Sketch.pairStats(Sketch.segments(values, q)).persist(StorageLevel.MEMORY_AND_DISK)
+      val truth = NaiveCorr.allCorrs(tiles, q).persist(StorageLevel.MEMORY_AND_DISK)
       truth.count()
-      val sketches = Sketch.build(values, q).persist(StorageLevel.MEMORY_AND_DISK)
+      val sketches = Sketch.pairSketches(tiles, q).persist(StorageLevel.MEMORY_AND_DISK)
       sketches.count()
-      val arrs = Sketch.seriesArrays(values, q).persist(StorageLevel.MEMORY_AND_DISK)
-      arrs.count()
       val (dEdges, dSec) = time { val (ds, _) = Dangoron.edges(sketches, q); val c = ds.persist(); c.count(); c }
       val dAcc = Metrics.compare(dEdges, truth, beta, total)
       val (tEdges, tSec) = time { val (ds, _) = Tsubasa.edges(sketches, q); val c = ds.persist(); c.count(); c }
       val tAcc = Metrics.compare(tEdges, truth, beta, total)
-      val (pEdges, pSec) = time { val ds = ParCorr.edges(arrs, q).persist(); ds.count(); ds }
+      val (pEdges, pSec) = time { val ds = ParCorr.edges(tiles, q).persist(); ds.count(); ds }
       val pAcc = Metrics.compare(pEdges, truth, beta, total)
       val rows = Seq(
         T3Row(name, "Dangoron", dSec, dAcc.accuracy, dAcc.f1),
         T3Row(name, "TSUBASA", tSec, tAcc.accuracy, tAcc.f1),
         T3Row(name, "ParCorr", pSec, pAcc.accuracy, pAcc.f1))
       Seq(dEdges, tEdges, pEdges).foreach(_.unpersist())
-      truth.unpersist(); sketches.unpersist(); arrs.unpersist(); values.unpersist()
+      truth.unpersist(); sketches.unpersist(); tiles.unpersist()
       rows
     }
   }

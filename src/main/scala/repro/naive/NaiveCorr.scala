@@ -11,34 +11,21 @@ import repro.core._
   */
 object NaiveCorr {
 
-  /** All pair-window correlations (no thresholding). */
-  def allCorrs(values: DataFrame, q: SlidingQuery): Dataset[Edge] = {
-    val spark = values.sparkSession
+  /** All pair-window correlations (no thresholding) of every pair in the
+    * tiles of ``Sketch.pairStats(Sketch.segments(values, q))``.
+    */
+  def allCorrs(tiles: Dataset[Tile], q: SlidingQuery): Dataset[Edge] = {
+    val spark = tiles.sparkSession
     import spark.implicits._
-    Sketch.seriesPairs(Sketch.seriesArrays(values, q)).flatMap { case (i, j, xs, ys) =>
-      Sweep.naive(xs, ys, q).map { case (w, c) => Edge(i, j, w, c) }
-    }
-  }
-
-  /** All pair-window correlations from pre-built series arrays. */
-  def allCorrsFromArrays(arrs: Dataset[SeriesArr], q: SlidingQuery): Dataset[Edge] = {
-    val spark = arrs.sparkSession
-    import spark.implicits._
-    Sketch.seriesPairs(arrs).flatMap { case (i, j, xs, ys) =>
-      Sweep.naive(xs, ys, q).map { case (w, c) => Edge(i, j, w, c) }
-    }
-  }
-
-  /** Thresholded edges from pre-built series arrays. */
-  def edgesFromArrays(arrs: Dataset[SeriesArr], q: SlidingQuery): Dataset[Edge] = {
-    val beta = q.beta
-    allCorrsFromArrays(arrs, q).filter(_.corr >= beta)
+    tiles.flatMap(_.pairs.flatMap { case (x, y) =>
+      Sweep.naive(x.vals, y.vals, q).map { case (w, c) => Edge(x.sid, y.sid, w, c) }
+    })
   }
 
   /** Thresholded edges — same output contract as Dangoron/TSUBASA. */
-  def edges(values: DataFrame, q: SlidingQuery): Dataset[Edge] = {
+  def edges(tiles: Dataset[Tile], q: SlidingQuery): Dataset[Edge] = {
     val beta = q.beta
-    allCorrs(values, q).filter(_.corr >= beta)
+    allCorrs(tiles, q).filter(_.corr >= beta)
   }
 
   /** The same computation expressed in Spark SQL (Catalyst ``corr``

@@ -1,7 +1,7 @@
 package repro.parcorr
 
-import org.apache.spark.sql.{DataFrame, Dataset}
-import repro.core.{Edge, Sketch, SlidingQuery, SeriesArr, PairMath}
+import org.apache.spark.sql.Dataset
+import repro.core.{Edge, PairMath, SlidingQuery, Tile}
 import repro.util.DetRandom
 
 /** ParCorr baseline (Yagoubi et al., DAMI '18), reimplemented from the
@@ -92,31 +92,22 @@ object ParCorr {
 
   /** Thresholded edge estimates for the whole sliding query.
     *
-    * Spark layout: per-series window sketches (flatMap over series, rolling
-    * updates inside the task), self-joined per window (i < j), estimates
-    * filtered at β — the DataFrame-filter pruning path.
+    * Spark layout: the tiles of ``Sketch.pairStats`` (ParCorr's grid over the
+    * pair space). Each tile task sketches the windows of its series, rolling
+    * updates inside the task, then estimates every pair of the tile per
+    * window and keeps those at or above β.
     */
-  def edges(arrs: Dataset[SeriesArr], q: SlidingQuery, d: Int = 32, seed: Long = 1234): Dataset[Edge] = {
-    val spark = arrs.sparkSession
+  def edges(tiles: Dataset[Tile], q: SlidingQuery, d: Int = 32, seed: Long = 1234): Dataset[Edge] = {
+    val spark = tiles.sparkSession
     import spark.implicits._
-    import org.apache.spark.sql.functions.col
-    val sketches = arrs.flatMap(sa => sketchSeries(sa.sid, sa.vals, q, d, seed))
-    val a = sketches.toDF("sid", "w", "sketch", "mean", "std").alias("a")
-    val b = sketches.toDF("sid", "w", "sketch", "mean", "std").alias("b")
     val l = q.windowLen; val beta = q.beta
-    a.join(b, col("a.w") === col("b.w") && col("a.sid") < col("b.sid"))
-      .select(
-        col("a.sid").as("i"), col("b.sid").as("j"), col("a.w").as("w"),
-        col("a.sketch").as("skA"), col("a.mean").as("muA"), col("a.std").as("sdA"),
-        col("b.sketch").as("skB"), col("b.mean").as("muB"), col("b.std").as("sdB"))
-      .as[(Int, Int, Int, Array[Double], Double, Double, Array[Double], Double, Double)]
-      .flatMap { case (i, j, w, skA, muA, sdA, skB, muB, sdB) =>
-        val c = estimate(WindowSketch(i, w, skA, muA, sdA), WindowSketch(j, w, skB, muB, sdB), d, l)
-        if (c >= beta) Some(Edge(i, j, w, c)) else None
+    tiles.flatMap { tile =>
+      val windows = (tile.blockI ++ tile.blockJ).map(s => s.sid -> sketchSeries(s.sid, s.vals, q, d, seed)).toMap
+      tile.pairs.flatMap { case (x, y) =>
+        windows(x.sid).iterator.zip(windows(y.sid))
+          .map { case (a, b) => Edge(x.sid, y.sid, a.w, estimate(a, b, d, l)) }
+          .filter(_.corr >= beta)
       }
+    }
   }
-
-  /** Convenience: raw values → series arrays → edges. */
-  def run(values: DataFrame, q: SlidingQuery, d: Int = 32, seed: Long = 1234): Dataset[Edge] =
-    edges(Sketch.seriesArrays(values, q), q, d, seed)
 }

@@ -71,14 +71,21 @@ object StreamingCorrelation {
     }
 
     /** Ingest one micro-batch of rows ``(sid, t, v)`` (t dense per series)
-      * and return edges newly emitted because of it.
+      * and return edges newly emitted because of it. The whole batch is
+      * checked first: a sid outside ``[0, nSeries)``, a non-finite value or a
+      * gap fails with an IllegalArgumentException naming sid and t, and
+      * leaves the buffers unchanged.
       */
     def ingest(batch: Array[(Int, Long, Double)]): Vector[Edge] = {
-      batch.sortBy(r => (r._1, r._2)).foreach { case (sid, t, v) =>
-        val buf = buffer(sid)
-        require(t == buf.length, s"non-dense stream for sid=$sid: got t=$t, expected ${buf.length}")
-        buf += v
+      val rows = batch.sortBy(r => (r._1, r._2))
+      val next = buffer.map(_.length.toLong)
+      rows.foreach { case (sid, t, v) =>
+        require(sid >= 0 && sid < nSeries, s"sid=$sid out of range [0, $nSeries) at t=$t")
+        require(!v.isNaN && !v.isInfinite, s"non-finite value $v at sid=$sid, t=$t")
+        require(t == next(sid), s"non-dense stream for sid=$sid: got t=$t, expected ${next(sid)}")
+        next(sid) += 1
       }
+      rows.foreach { case (sid, _, v) => buffer(sid) += v }
       advance()
     }
 

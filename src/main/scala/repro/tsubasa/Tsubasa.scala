@@ -32,16 +32,4 @@ object Tsubasa {
   /** Convenience: raw values → sketches → edges. */
   def run(values: DataFrame, q: SlidingQuery): (Dataset[Edge], () => RunStats) =
     edges(Sketch.build(values, q), q)
-
-  /** TSUBASA's headline capability: an ad-hoc window query — the exact
-    * correlation of every pair over basic windows [fromBw, fromBw + nBws).
-    */
-  def adhocWindow(sketches: Dataset[PairSketch], q: SlidingQuery,
-                  fromBw: Int, nBws: Int): Dataset[(Int, Int, Double)] = {
-    val spark = sketches.sparkSession
-    import spark.implicits._
-    require(fromBw >= 0 && fromBw + nBws <= q.nBw, "ad-hoc window out of range")
-    val b = q.bwSize
-    sketches.map(sk => (sk.i, sk.j, PairMath.windowCorr(sk, fromBw, nBws, b)))
-  }
 }

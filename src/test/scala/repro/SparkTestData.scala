@@ -1,7 +1,7 @@
 package repro
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.core.TestSeries
+import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import repro.core.{Sketch, SlidingQuery, Tile, TestSeries}
 
 /** Builders turning local matrices into the long-format (sid, t, v) input. */
 object SparkTestData {
@@ -14,6 +14,10 @@ object SparkTestData {
     } yield (sid, t.toLong, m(sid)(t))
     rows.toDF("sid", "t", "v")
   }
+
+  /** The tile grid NaiveCorr and ParCorr read, as the experiment harnesses build it. */
+  def tiles(values: DataFrame, q: SlidingQuery): Dataset[Tile] =
+    Sketch.pairStats(Sketch.segments(values, q))
 
   /** Small deterministic panel: first half of the series share one
     * sinusoid phase (a strongly correlated cluster, corr ≈ 0.9), second

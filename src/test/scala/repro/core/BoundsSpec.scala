@@ -56,12 +56,6 @@ class BoundsSpec extends AnyFunSuite with PropSupport {
     for (t <- 1 until p.length) assert(p(t) >= p(t - 1) - 1e-12)
   }
 
-  test("lowerPrefix is non-decreasing (1 + c >= 0 always)") {
-    val sk = sketchOf(series(6L, 0, 128), series(6L, 1, 128), 8)
-    val p = Bounds.lowerPrefix(sk)
-    for (t <- 1 until p.length) assert(p(t) >= p(t - 1) - 1e-12)
-  }
-
   test("upperPrefix uses conservative c = -1 on zero-variance basic windows") {
     val x = Array.fill(16)(3.0) ++ series(7L, 0, 16)
     val y = series(7L, 1, 32)
@@ -72,13 +66,11 @@ class BoundsSpec extends AnyFunSuite with PropSupport {
     assert(math.abs((p(2) - p(1)) - 2.0) < 1e-12)
   }
 
-  test("upperBound raises and lowerBound lowers relative to corrW") {
+  test("upperBound raises relative to corrW") {
     val sk = sketchOf(series(8L, 0, 128), series(8L, 1, 128), 8)
     val up = Bounds.upperPrefix(sk)
-    val lp = Bounds.lowerPrefix(sk)
     val corrW = 0.3
     assert(Bounds.upperBound(corrW, up, 4, 2, 1, 4) > corrW)
-    assert(Bounds.lowerBound(corrW, lp, 4, 2, 1, 4) < corrW)
   }
 
   // --- maxJump: binary search must equal the linear scan -------------------

@@ -17,7 +17,7 @@ class DangoronSparkSpec extends SparkSpec {
     val query = q(-1.0)
     val (edges, _) = Dangoron.run(values, query)
     val got = edges.collect().map(e => (e.i, e.j, e.w) -> e.corr).toMap
-    val expect = NaiveCorr.allCorrs(values, query).collect()
+    val expect = NaiveCorr.allCorrs(SparkTestData.tiles(values, query), query).collect()
       .map(e => (e.i, e.j, e.w) -> e.corr).toMap
     assert(got.keySet === expect.keySet)
     assert(got.size === n * (n - 1) / 2 * query.numWindows)
@@ -28,7 +28,7 @@ class DangoronSparkSpec extends SparkSpec {
     test(s"reported edges are exact and truly above beta=$beta") {
       val query = q(beta)
       val (edges, _) = Dangoron.run(values, query)
-      val truth = NaiveCorr.allCorrs(values, query).collect()
+      val truth = NaiveCorr.allCorrs(SparkTestData.tiles(values, query), query).collect()
         .map(e => (e.i, e.j, e.w) -> e.corr).toMap
       edges.collect().foreach { e =>
         assert(e.corr >= beta)
@@ -58,7 +58,7 @@ class DangoronSparkSpec extends SparkSpec {
     val query = q(0.6)
     val (edges, _) = Dangoron.run(values, query)
     val got = edges.collect().map(e => (e.i, e.j, e.w)).toSet
-    val truthAll = NaiveCorr.allCorrs(values, query).collect()
+    val truthAll = NaiveCorr.allCorrs(SparkTestData.tiles(values, query), query).collect()
     var correct = 0
     truthAll.foreach { e =>
       val predicted = got.contains((e.i, e.j, e.w))

@@ -145,18 +145,10 @@ class SketchSpec extends SparkSpec {
     }
   }
 
-  test("seriesArrays reconstruct the original series over the range") {
-    val arrs = Sketch.seriesArrays(values, q).collect()
-    assert(arrs.length === n)
-    arrs.foreach { sa =>
-      sa.vals.indices.foreach(t => assert(sa.vals(t) === matrix(sa.sid)(t)))
-    }
-  }
-
   test("seriesPairs yields every i<j combination once") {
-    val pairs = Sketch.seriesPairs(Sketch.seriesArrays(values, q)).collect()
-    assert(pairs.map(p => (p._1, p._2)).toSet ===
-      (for (i <- 0 until n; j <- (i + 1) until n) yield (i, j)).toSet)
+    val pairs = Sketch.pairStats(Sketch.segments(values, q)).collect()
+      .flatMap(_.pairs.map { case (x, y) => (x.sid, y.sid) })
+    assert(pairs.sorted.toSeq === (for (i <- 0 until n; j <- (i + 1) until n) yield (i, j)))
   }
 
   test("segments reject a missing reading, naming its sid and t") {

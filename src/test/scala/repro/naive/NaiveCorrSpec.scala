@@ -47,7 +47,7 @@ class NaiveCorrSpec extends SparkSpec {
 
   test("allCorrs (array path) matches edgesSql (Catalyst path)") {
     import spark.implicits._
-    val viaArrays = NaiveCorr.allCorrs(values, q)
+    val viaArrays = NaiveCorr.allCorrs(SparkTestData.tiles(values, q), q)
       .map(e => (e.w, e.i, e.j, BigDecimal(e.corr).setScale(4, BigDecimal.RoundingMode.HALF_UP).toDouble))
       .toDF("w", "i", "j", "r")
     val viaSql = NaiveCorr.edgesSql(values, q)
@@ -59,34 +59,48 @@ class NaiveCorrSpec extends SparkSpec {
 
   test("allCorrs matches the DuckDB oracle directly") {
     import spark.implicits._
-    val sparkDf = NaiveCorr.allCorrs(values, q)
+    val sparkDf = NaiveCorr.allCorrs(SparkTestData.tiles(values, q), q)
       .toDF().select(col("w"), col("i"), col("j"), round(col("corr"), 4).as("r"))
     Oracle.assertEquivalent(sparkDf, duckSql(q), "ts" -> values, "win" -> winDf(q))
   }
 
   test("allCorrs count = pairs × windows") {
-    assert(NaiveCorr.allCorrs(values, q).count() ===
+    assert(NaiveCorr.allCorrs(SparkTestData.tiles(values, q), q).count() ===
       n.toLong * (n - 1) / 2 * q.numWindows)
   }
 
   test("edges applies the threshold") {
     val q2 = q.copy(beta = 0.8)
-    val edges = NaiveCorr.edges(values, q2).collect()
+    val edges = NaiveCorr.edges(SparkTestData.tiles(values, q2), q2).collect()
     assert(edges.forall(_.corr >= 0.8))
-    val all = NaiveCorr.allCorrs(values, q2).collect()
+    val all = NaiveCorr.allCorrs(SparkTestData.tiles(values, q2), q2).collect()
     assert(edges.length === all.count(_.corr >= 0.8))
   }
 
   test("edgesFromArrays equals edges") {
     val q2 = q.copy(beta = 0.5)
-    val viaValues = NaiveCorr.edges(values, q2).collect().toSet
-    val arrs = Sketch.seriesArrays(values, q2)
-    val viaArrs = NaiveCorr.edgesFromArrays(arrs, q2).collect().toSet
-    assert(viaValues === viaArrs)
+    val viaTiles = NaiveCorr.edges(SparkTestData.tiles(values, q2), q2).collect().toSet
+    val viaArrs = (for {
+      i <- 0 until n; j <- i + 1 until n
+      (w, c) <- Sweep.naive(matrix(i), matrix(j), q2) if c >= q2.beta
+    } yield Edge(i, j, w, c)).toSet
+    assert(viaTiles.nonEmpty)
+    assert(viaTiles === viaArrs)
+  }
+
+  test("allCorrs on tiles: one exact row per (i<j, w), N = 2, 3, 7, 23") {
+    val q16 = SlidingQuery(16L, 80L, windowLen = 32, step = 8, beta = 0.0, bwSize = 8)
+    for (nSeries <- Seq(2, 3, 7, 23)) {
+      val m = Array.tabulate(nSeries)(sid => TestSeries.series(90L + nSeries, sid, 96))
+      val all = NaiveCorr.allCorrs(SparkTestData.tiles(SparkTestData.toValuesDf(spark, m), q16), q16).collect()
+      assert(all.map(e => (e.i, e.j, e.w)).sorted.toSeq ===
+        (for (i <- 0 until nSeries; j <- i + 1 until nSeries; w <- 0 until q16.numWindows) yield (i, j, w)))
+      all.foreach(e => assert(e.corr === PairMath.directPearson(m(e.i), m(e.j), 16 + e.w * q16.step, q16.windowLen)))
+    }
   }
 
   test("symmetric input: corr(i,j) appears once with i < j") {
-    val all = NaiveCorr.allCorrs(values, q).collect()
+    val all = NaiveCorr.allCorrs(SparkTestData.tiles(values, q), q).collect()
     assert(all.forall(e => e.i < e.j))
     assert(all.map(e => (e.i, e.j, e.w)).distinct.length === all.length)
   }

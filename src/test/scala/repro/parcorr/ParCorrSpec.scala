@@ -95,9 +95,9 @@ class ParCorrSpec extends SparkSpec {
 
   test("Spark edges: high recall on strongly correlated pairs (d=64)") {
     val query = q(0.7)
-    val pred = ParCorr.run(values, query, d = 64).collect()
+    val pred = ParCorr.edges(SparkTestData.tiles(values, query), query, d = 64).collect()
       .map(e => (e.i, e.j, e.w)).toSet
-    val strong = NaiveCorr.allCorrs(values, query).collect().filter(_.corr >= 0.85)
+    val strong = NaiveCorr.allCorrs(SparkTestData.tiles(values, query), query).collect().filter(_.corr >= 0.85)
     assert(strong.nonEmpty)
     val recalled = strong.count(e => pred.contains((e.i, e.j, e.w)))
     assert(recalled.toDouble / strong.length > 0.9,
@@ -106,8 +106,9 @@ class ParCorrSpec extends SparkSpec {
 
   test("Spark edges: low false-positive rate on anti-correlated pairs") {
     val query = q(0.7)
-    val pred = ParCorr.run(values, query, d = 64).collect().map(e => (e.i, e.j, e.w)).toSet
-    val weak = NaiveCorr.allCorrs(values, query).collect().filter(_.corr < 0.3)
+    val pred = ParCorr.edges(SparkTestData.tiles(values, query), query, d = 64).collect()
+      .map(e => (e.i, e.j, e.w)).toSet
+    val weak = NaiveCorr.allCorrs(SparkTestData.tiles(values, query), query).collect().filter(_.corr < 0.3)
     val falsePos = weak.count(e => pred.contains((e.i, e.j, e.w)))
     assert(falsePos.toDouble / math.max(1, weak.length) < 0.05,
       s"$falsePos of ${weak.length} weak pairs misreported")
@@ -115,8 +116,9 @@ class ParCorrSpec extends SparkSpec {
 
   test("pair-window classification accuracy is comparable to Dangoron's (paper claim)") {
     val query = q(0.6)
-    val truthAll = NaiveCorr.allCorrs(values, query).collect()
-    val pred = ParCorr.run(values, query, d = 64).collect().map(e => (e.i, e.j, e.w)).toSet
+    val truthAll = NaiveCorr.allCorrs(SparkTestData.tiles(values, query), query).collect()
+    val pred = ParCorr.edges(SparkTestData.tiles(values, query), query, d = 64).collect()
+      .map(e => (e.i, e.j, e.w)).toSet
     var correct = 0
     truthAll.foreach { e =>
       if (pred.contains((e.i, e.j, e.w)) == (e.corr >= query.beta)) correct += 1
@@ -126,8 +128,8 @@ class ParCorrSpec extends SparkSpec {
 
   test("deterministic in seed") {
     val query = q(0.6)
-    val a = ParCorr.run(values, query, d = 16, seed = 5L).collect().toSet
-    val b = ParCorr.run(values, query, d = 16, seed = 5L).collect().toSet
+    val a = ParCorr.edges(SparkTestData.tiles(values, query), query, d = 16, seed = 5L).collect().toSet
+    val b = ParCorr.edges(SparkTestData.tiles(values, query), query, d = 16, seed = 5L).collect().toSet
     assert(a === b)
   }
 }

@@ -113,6 +113,29 @@ class StreamingSpec extends SparkSpec {
     }
   }
 
+  for ((what, bad) <- Seq(
+         "a sid out of range" -> ((hi: Long) => (n, hi, 1.0)),
+         "a NaN value" -> ((hi: Long) => (2, hi, Double.NaN)),
+         "a gap after valid rows" -> ((hi: Long) => (1, hi + 1, 0.5))))
+    test(s"a batch with $what is rejected whole; resent clean, it streams the batch edges") {
+      val driver = new StreamingCorrelation.StreamingDangoron(spark, n, q)
+      for (t <- 0 until len by 40) {
+        val hi = math.min(len, t + 40)
+        val batch = for { sid <- (0 until n).toArray; u <- (t until hi).toArray }
+          yield (sid, u.toLong, matrix(sid)(u))
+        if (t == 80) {
+          val (sid, badT, _) = bad(hi.toLong)
+          val ex = intercept[IllegalArgumentException](driver.ingest(batch :+ bad(hi.toLong)))
+          assert(ex.getMessage.contains(s"sid=$sid") && ex.getMessage.contains(s"t=$badT"), ex.getMessage)
+        }
+        driver.ingest(batch)
+      }
+      assert(driver.windowsEmitted === q.numWindows)
+      val batchMap = batchEdges.map(e => (e.i, e.j, e.w) -> e.corr).toMap
+      assert(driver.edgesSoFar.map(e => (e.i, e.j, e.w)).toSet === batchMap.keySet)
+      driver.edgesSoFar.foreach(e => assert(math.abs(e.corr - batchMap((e.i, e.j, e.w))) < 1e-9))
+    }
+
   test("frontier waits for the slowest series") {
     val driver = new StreamingCorrelation.StreamingDangoron(spark, n, q)
     // all series except sid=0 get plenty of data; sid=0 gets none

@@ -19,7 +19,7 @@ class TsubasaSpec extends SparkSpec {
       val query = q(beta)
       val (edges, _) = Tsubasa.run(values, query)
       val got = edges.collect().map(e => (e.i, e.j, e.w) -> e.corr).toMap
-      val expect = NaiveCorr.allCorrs(values, query).collect()
+      val expect = NaiveCorr.allCorrs(SparkTestData.tiles(values, query), query).collect()
         .filter(_.corr >= beta).map(e => (e.i, e.j, e.w) -> e.corr).toMap
       assert(got.keySet === expect.keySet)
       got.foreach { case (k, c) => assert(math.abs(c - expect(k)) < 1e-9) }
@@ -43,28 +43,6 @@ class TsubasaSpec extends SparkSpec {
     dEdges.collect().foreach { e =>
       assert(t.contains((e.i, e.j, e.w)), "Dangoron reported an edge TSUBASA did not")
       assert(math.abs(t((e.i, e.j, e.w)) - e.corr) < 1e-9)
-    }
-  }
-
-  test("ad-hoc window query matches direct Pearson on arbitrary sub-windows") {
-    val query = q(0.0)
-    val sketches = Sketch.build(values, query)
-    for ((fromBw, nBws) <- Seq((0, 4), (3, 7), (10, 6), (0, query.nBw))) {
-      val got = Tsubasa.adhocWindow(sketches, query, fromBw, nBws).collect()
-      assert(got.length === n * (n - 1) / 2)
-      got.foreach { case (i, j, c) =>
-        val direct = PairMath.directPearson(matrix(i), matrix(j),
-          fromBw * query.bwSize, nBws * query.bwSize)
-        assert(math.abs(c - direct) < 1e-9, s"pair ($i,$j) window [$fromBw, +$nBws)")
-      }
-    }
-  }
-
-  test("ad-hoc window rejects out-of-range windows") {
-    val query = q(0.0)
-    val sketches = Sketch.build(values, query)
-    intercept[IllegalArgumentException] {
-      Tsubasa.adhocWindow(sketches, query, query.nBw - 2, 5)
     }
   }
 
