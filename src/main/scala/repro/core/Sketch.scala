@@ -1,11 +1,18 @@
 package repro.core
 
+import scala.collection.mutable
+
 import org.apache.spark.Partitioner
 import org.apache.spark.sql.{DataFrame, Dataset}
 import org.apache.spark.sql.functions._
 
-/** Per-series basic-window statistics (TSUBASA's per-series sketch). */
-final case class SeriesBw(sid: Int, bw: Int, cnt: Long, mean: Double, m2: Double)
+/** The readings one input partition holds for series ``sid``: ``vals(r)`` is
+  * step ``steps(r)`` of the query range, in the partition's row order, so a
+  * span's size is its reading count whatever the input layout. It carries
+  * what a tile needs of the query: its ``start``, length ``len`` and
+  * basic-window size ``bwSize``.
+  */
+final case class Span(sid: Int, steps: Array[Int], vals: Array[Double], start: Long, len: Int, bwSize: Int)
 
 /** One series' values over the query range, with each basic window's mean and m2. */
 final case class SeriesRow(sid: Int, vals: Array[Double], mean: Array[Double], m2: Array[Double])
@@ -28,11 +35,14 @@ final case class Tile(bi: Int, bj: Int, blockI: Array[SeriesRow], blockJ: Array[
   *
   * Input contract throughout: a long-format DataFrame with columns ``sid``
   * (int), ``t`` (long), ``v`` (double), one finite reading per series and time
-  * step of the query range. Construction tiles the pair space as ParCorr does:
-  * [[segments]] gathers each series into one row with its basic-window stats;
-  * [[pairStats]] sends it to the ``k`` tiles of its block ``sid % k``, one tile
-  * per partition; [[pairSketches]] computes each tile's pairs in a ``flatMap``.
-  * The tiles are the one pair grid: NaiveCorr and ParCorr read them too.
+  * step of the query range. Construction tiles the pair space as ParCorr does,
+  * with one shuffle: [[segments]] folds each input partition's readings into
+  * one span per series, in place, about 12 bytes a reading whatever the
+  * input layout; [[pairStats]] sends each span to the ``k`` tiles of its
+  * block ``sid % k``, one tile per partition, where the spans of a series
+  * merge into its row with its basic-window stats; [[pairSketches]] computes
+  * each tile's pairs in a ``flatMap``. The tiles are the one pair grid:
+  * NaiveCorr and ParCorr read them too.
   */
 object Sketch {
 
@@ -40,11 +50,11 @@ object Sketch {
   private[core] def blockCount(parallelism: Int): Int =
     Iterator.from(1).find(k => k * (k + 1) / 2 >= 3 * parallelism).get
 
-  /** One row per series with its basic-window stats. A duplicate, missing,
-    * NaN or infinite reading fails with an IllegalArgumentException naming
-    * sid and t.
+  /** One span per (input partition, series), holding the readings that
+    * partition holds of the series; no shuffle. A NaN or infinite reading
+    * fails with an IllegalArgumentException naming sid and t.
     */
-  def segments(values: DataFrame, q: SlidingQuery): Dataset[SeriesRow] = {
+  def segments(values: DataFrame, q: SlidingQuery): Dataset[Span] = {
     val spark = values.sparkSession
     import spark.implicits._
     val start = q.start; val end = q.end; val len = (end - start).toInt; val b = q.bwSize
@@ -52,44 +62,37 @@ object Sketch {
       .select(col("sid").cast("int"), col("t").cast("long"), col("v").cast("double"))
       .where(col("t") >= start && col("t") < end)
       .as[(Int, Long, Double)]
-      .groupByKey(_._1)
-      .mapGroups { (sid, rows) =>
-        val vals = Array.fill(len)(Double.NaN) // NaN: no reading yet (NaN readings are rejected)
-        rows.foreach { case (_, t, v) =>
+      .mapPartitions { rows =>
+        val held = mutable.LongMap.empty[(mutable.ArrayBuilder.ofInt, mutable.ArrayBuilder.ofDouble)]
+        rows.foreach { case (sid, t, v) =>
           require(!v.isNaN && !v.isInfinite, s"non-finite value $v at sid=$sid, t=$t")
-          require(vals((t - start).toInt).isNaN, s"duplicate reading at sid=$sid, t=$t")
-          vals((t - start).toInt) = v
+          val (us, vs) = held.getOrElseUpdate(sid, (new mutable.ArrayBuilder.ofInt, new mutable.ArrayBuilder.ofDouble))
+          us += (t - start).toInt; vs += v
         }
-        val hole = vals.indexWhere(_.isNaN)
-        require(hole < 0, s"missing reading at sid=$sid, t=${start + hole}")
-        val stats = Array.tabulate(len / b)(t => meanM2(vals.slice(t * b, (t + 1) * b)))
-        SeriesRow(sid, vals, stats.map(_._1), stats.map(_._2))
+        held.iterator.map { case (sid, (us, vs)) => Span(sid.toInt, us.result(), vs.result(), start, len, b) }
       }
   }
 
-  /** Per-series basic-window stats, one row per (series, basic window). */
-  def seriesStats(series: Dataset[SeriesRow]): Dataset[SeriesBw] = {
-    val spark = series.sparkSession
-    import spark.implicits._
-    series.flatMap { s =>
-      s.mean.indices.map(t => SeriesBw(s.sid, t, s.vals.length / s.mean.length, s.mean(t), s.m2(t)))
-    }
-  }
-
-  /** One row per tile of the all-pairs grid, alone in its partition. */
-  def pairStats(series: Dataset[SeriesRow]): Dataset[Tile] = {
-    val spark = series.sparkSession
+  /** One row per tile of the all-pairs grid, alone in its partition: the one
+    * shuffle of the build sends each span to the tiles of its block, and each
+    * tile merges the spans of its series. A reading held twice, in one span
+    * or in two, or a step of the query range held by none, fails with an
+    * IllegalArgumentException naming sid and t.
+    */
+  def pairStats(spans: Dataset[Span]): Dataset[Tile] = {
+    val spark = spans.sparkSession
     import spark.implicits._
     val k = blockCount(spark.sparkContext.defaultParallelism)
     def block(sid: Int) = Math.floorMod(sid, k) // a block with no series leaves its tiles empty
-    val tiles = series.rdd
+    val tiles = spans.rdd
       .flatMap(s => (0 until k).map(o => (math.min(block(s.sid), o), math.max(block(s.sid), o)) -> s))
       .groupByKey(new Partitioner { // tile (bi, bj) alone in partition bj(bj+1)/2 + bi
         def numPartitions: Int = k * (k + 1) / 2
         def getPartition(key: Any): Int = key match { case (bi: Int, bj: Int) => bj * (bj + 1) / 2 + bi }
       })
-      .map { case ((bi, bj), rows) =>
-        val (blockI, blockJ) = rows.toArray.sortBy(_.sid).partition(s => block(s.sid) == bi)
+      .map { case ((bi, bj), held) =>
+        val series = held.groupBy(_.sid).map { case (sid, ss) => merge(sid, ss) }.toArray
+        val (blockI, blockJ) = series.sortBy(_.sid).partition(s => block(s.sid) == bi)
         Tile(bi, bj, blockI, blockJ)
       }
     spark.createDataset(tiles)
@@ -108,6 +111,21 @@ object Sketch {
   /** Build pair sketches straight from raw values. */
   def build(values: DataFrame, q: SlidingQuery): Dataset[PairSketch] =
     pairSketches(pairStats(segments(values, q)), q)
+
+  /** Series ``sid`` from its spans: dense values over the query range and each basic window's stats. */
+  private def merge(sid: Int, spans: Iterable[Span]): SeriesRow = {
+    val Span(_, _, _, start, len, b) = spans.head
+    val vals = Array.fill(len)(Double.NaN) // NaN: no reading yet (NaN readings are rejected)
+    for (s <- spans; r <- s.steps.indices) {
+      val u = s.steps(r)
+      require(vals(u).isNaN, s"duplicate reading at sid=$sid, t=${start + u}")
+      vals(u) = s.vals(r)
+    }
+    val hole = vals.indexWhere(_.isNaN)
+    require(hole < 0, s"missing reading at sid=$sid, t=${start + hole}")
+    val stats = Array.tabulate(len / b)(t => meanM2(vals.slice(t * b, (t + 1) * b)))
+    SeriesRow(sid, vals, stats.map(_._1), stats.map(_._2))
+  }
 
   /** Per basic window ``t``, ``Σ (x − meanX(t))(y − meanY(t))`` in time order. */
   private def crossProducts(x: SeriesRow, y: SeriesRow, b: Int): Array[Double] =

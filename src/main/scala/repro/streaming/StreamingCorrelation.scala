@@ -19,9 +19,9 @@ object StreamingCorrelation {
 
   /** Per-series basic-window statistics as a streaming aggregation:
     * ``groupBy(sid, window(ts, bwSize seconds))``. Emits
-    * ``(sid, bw, cnt, mean, m2)`` — the same shape as
-    * [[repro.core.SeriesBw]], so the test suite diffs it against the batch
-    * sketch. Works on both streaming and batch DataFrames.
+    * ``(sid, bw, cnt, mean, m2)``, one row per series and basic window, so
+    * the test suite diffs it against the series stats the batch tiles hold.
+    * Works on both streaming and batch DataFrames.
     */
   def bwStats(readings: DataFrame, bwSize: Int, origin: Long = 0L): DataFrame = {
     readings

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.col
 
 import repro.{SparkSpec, SparkTestData, Oracle}
 
@@ -28,18 +29,48 @@ class SketchSpec extends SparkSpec {
     assert(got.cp === want.cp, s"cp of (${got.i},${got.j})")
   }
 
-  /** The ``IllegalArgumentException`` a sketch build of ``bad`` fails with
-    * (Spark wraps a task's exception in its own).
+  /** The rows of ``values`` sorted by ``t`` and range-partitioned on it into
+    * four partitions, persisted so that every read sees the same partitions.
     */
-  private def rejection(bad: DataFrame): IllegalArgumentException = {
-    val ex = intercept[Exception](Sketch.build(bad, q).collect())
+  private def timeMajor(values: DataFrame): DataFrame =
+    values.repartitionByRange(4, col("t")).sortWithinPartitions("t").persist()
+
+  /** Each input partition's spans, by partition (``segments`` is narrow). */
+  private def spansByPartition(in: DataFrame, qq: SlidingQuery): Array[Array[Span]] =
+    Sketch.segments(in, qq).rdd.glom().collect()
+
+  /** The spans of each series hold every step of ``qq`` once, with ``m``'s
+    * value, and nothing else: their total size is the reading count.
+    */
+  private def assertSpansCover(spans: Seq[Span], m: Array[Array[Double]], qq: SlidingQuery): Unit = {
+    val len = (qq.end - qq.start).toInt
+    assert(spans.forall(s => s.start == qq.start && s.len == len && s.bwSize == qq.bwSize))
+    assert(spans.forall(s => s.steps.length == s.vals.length))
+    assert(spans.map(_.sid).distinct.sorted.toSeq === m.indices)
+    val held = for (s <- spans; r <- s.steps.indices) yield {
+      assert(s.vals(r) === m(s.sid)(qq.start.toInt + s.steps(r)), s"sid=${s.sid}, step ${s.steps(r)}")
+      (s.sid, s.steps(r))
+    }
+    assert(held.sorted === (for (sid <- m.indices; u <- 0 until len) yield (sid, u)))
+  }
+
+  /** The ``IllegalArgumentException`` that a sketch build over ``qq`` fails
+    * with on ``bad`` (Spark wraps a task's exception in its own).
+    */
+  private def rejection(bad: DataFrame, qq: SlidingQuery = q): IllegalArgumentException = {
+    val ex = intercept[Exception](Sketch.build(bad, qq).collect())
     Iterator.iterate[Throwable](ex)(_.getCause).takeWhile(_ != null)
       .collectFirst { case e: IllegalArgumentException => e }
       .getOrElse(fail(s"no IllegalArgumentException behind $ex"))
   }
 
   test("segments: one row per series, dense values and per-basic-window stats") {
-    val rows = Sketch.segments(values, q).collect()
+    // Input holding each series in one partition gives one span per series, with all its readings.
+    val spans = Sketch.segments(values.repartition(col("sid")), q).collect()
+    assert(spans.length === n)
+    assertSpansCover(spans.toSeq, matrix, q)
+    // The row a tile merges for each series carries every basic window's mean and m2.
+    val rows = SparkTestData.seriesRows(values, q).collect()
     assert(rows.map(_.sid).sorted.toSeq === (0 until n))
     rows.foreach { s =>
       assert(s.vals === matrix(s.sid))
@@ -51,31 +82,65 @@ class SketchSpec extends SparkSpec {
     }
   }
 
+  test("segments: one span per (input partition, series), holding exactly that partition's readings") {
+    import spark.implicits._
+    // Series-major, time-major and randomly shuffled input: the spans of
+    // every layout hold each reading once and nothing more.
+    val timeMaj = timeMajor(values)
+    val shuffled = values.repartition(7).persist()
+    try
+      for (in <- Seq(values, timeMaj, shuffled)) {
+        val held = in.select(col("sid").cast("int"), col("t").cast("int")).as[(Int, Int)].rdd.glom().collect()
+        val parts = spansByPartition(in, q)
+        assert(parts.length === held.length)
+        for ((spans, rows) <- parts.zip(held)) {
+          assert(spans.map(_.sid).sorted.toSeq === rows.map(_._1).distinct.sorted.toSeq)
+          spans.foreach(s => assert(s.steps.sorted.toSeq === rows.collect { case (s.sid, t) => t }.sorted.toSeq))
+        }
+        assertSpansCover(parts.flatten.toSeq, matrix, q)
+      }
+    finally { timeMaj.unpersist(); shuffled.unpersist() }
+  }
+
   test("segments respect a non-zero query start") {
-    val rows = Sketch.segments(values, q16).collect()
-    assert(rows.length === n)
+    val spans = Sketch.segments(values, q16).collect()
+    assert(spans.forall(_.steps.forall(u => u >= 0 && u < 64)))
+    assertSpansCover(spans.toSeq, matrix, q16)
+  }
+
+  test("build is bit-identical to the local builder on time-major and randomly repartitioned input") {
+    val m = Array.tabulate(23)(sid => series(64L, sid, len))
+    val v = SparkTestData.toValuesDf(spark, m)
+    val in = timeMajor(v)
+    try
+      for (layout <- Seq(in, v.repartition(7))) {
+        val sks = Sketch.build(layout, q16).collect()
+        assert(sks.length === 23 * 22 / 2)
+        sks.foreach(assertBitIdentical(_, m, q16))
+      }
+    finally in.unpersist()
+  }
+
+  test("tile series stats match local mean/m2") {
+    val rows = SparkTestData.seriesRows(values, q).collect()
+    assert(rows.map(_.sid).sorted.toSeq === (0 until n))
     rows.foreach { s =>
-      assert(s.vals === matrix(s.sid).slice(16, 80))
-      assert(s.mean.length === q16.nBw)
-      assert(s.mean(0) === Sketch.meanM2(matrix(s.sid).slice(16, 24))._1)
+      assert(s.vals === matrix(s.sid))
+      assert(s.mean.length === q.nBw && s.m2.length === q.nBw)
+      for (bw <- 0 until q.nBw) {
+        val (mean, m2) = Sketch.meanM2(matrix(s.sid).slice(bw * q.bwSize, (bw + 1) * q.bwSize))
+        assert(math.abs(s.mean(bw) - mean) < 1e-9)
+        assert(math.abs(s.m2(bw) - m2) < 1e-9)
+      }
     }
   }
 
-  test("seriesStats match local mean/m2") {
-    val stats = Sketch.seriesStats(Sketch.segments(values, q)).collect()
-    assert(stats.length === n * q.nBw)
-    stats.foreach { st =>
-      val slice = matrix(st.sid).slice(st.bw * q.bwSize, (st.bw + 1) * q.bwSize)
-      val (mean, m2) = Sketch.meanM2(slice)
-      assert(st.cnt === q.bwSize.toLong)
-      assert(math.abs(st.mean - mean) < 1e-9)
-      assert(math.abs(st.m2 - m2) < 1e-9)
-    }
-  }
-
-  test("seriesStats agree with the DuckDB oracle (group-by mean)") {
+  test("tile series stats agree with the DuckDB oracle (group-by mean)") {
     import org.apache.spark.sql.functions._
-    val sparkDf = Sketch.seriesStats(Sketch.segments(values, q)).toDF()
+    import spark.implicits._
+    val sparkDf = SparkTestData.seriesRows(values, q)
+      .flatMap(s => s.mean.indices.map(bw => (s.sid, bw, (s.vals.length / s.mean.length).toLong, s.mean(bw))))
+      .toDF("sid", "bw", "cnt", "mean")
       .select(col("sid"), col("bw"), col("cnt"), round(col("mean"), 4).as("m"))
     // NB: DuckDB's / on integers is float division; // is integer division.
     val sql =
@@ -145,20 +210,28 @@ class SketchSpec extends SparkSpec {
     }
   }
 
-  test("seriesPairs yields every i<j combination once") {
+  test("tile pairs are every i<j once") {
     val pairs = Sketch.pairStats(Sketch.segments(values, q)).collect()
       .flatMap(_.pairs.map { case (x, y) => (x.sid, y.sid) })
     assert(pairs.sorted.toSeq === (for (i <- 0 until n; j <- (i + 1) until n) yield (i, j)))
   }
 
   test("segments reject a missing reading, naming its sid and t") {
-    val ex = rejection(values.where("NOT (sid = 0 AND t = 13)"))
-    assert(ex.getMessage.contains("missing reading at sid=0, t=13"), ex.getMessage)
+    // An inner step, then the first and the last step of each query range.
+    for ((qq, sid, t) <- Seq((q, 0, 13L), (q, 1, 0L), (q, 1, 95L), (q16, 1, 16L), (q16, 1, 79L))) {
+      val ex = rejection(values.where(s"NOT (sid = $sid AND t = $t)"), qq)
+      assert(ex.getMessage.contains(s"missing reading at sid=$sid, t=$t"), ex.getMessage)
+    }
   }
 
   test("segments reject a duplicate reading, naming its sid and t") {
-    val ex = rejection(values.union(values.where("sid = 3 AND t = 40")))
-    assert(ex.getMessage.contains("duplicate reading at sid=3, t=40"), ex.getMessage)
+    val bad = values.union(values.where("sid = 3 AND t = 40"))
+    // Split across two input partitions, then within one: the tiles reject it either way.
+    def holdsT40(s: Span) = s.sid == 3 && s.steps.contains(40)
+    assert(spansByPartition(bad, q).count(_.exists(holdsT40)) === 2)
+    assert(spansByPartition(bad.coalesce(1), q).flatten.filter(holdsT40).map(_.steps.count(_ == 40)).toSeq === Seq(2))
+    for (ex <- Seq(rejection(bad), rejection(bad.coalesce(1))))
+      assert(ex.getMessage.contains("duplicate reading at sid=3, t=40"), ex.getMessage)
   }
 
   test("segments reject a duplicate and a missing reading in one basic window") {

@@ -6,7 +6,7 @@ import org.apache.spark.sql.execution.streaming.runtime.MemoryStream
 import org.apache.spark.sql.functions._
 
 import repro.{SparkSpec, SparkTestData}
-import repro.core.{Dangoron, Sketch, SlidingQuery}
+import repro.core.{Dangoron, SlidingQuery}
 
 class StreamingSpec extends SparkSpec {
 
@@ -42,13 +42,13 @@ class StreamingSpec extends SparkSpec {
       val got = spark.table("bwstats").collect()
         .map(r => (r.getInt(0), r.getInt(1)) -> (r.getLong(2), r.getDouble(3), r.getDouble(4)))
         .toMap
-      val batch = Sketch.seriesStats(Sketch.segments(values, q)).collect()
-      assert(got.size === batch.length)
-      batch.foreach { st =>
-        val (cnt, mean, m2) = got((st.sid, st.bw))
-        assert(cnt === st.cnt)
-        assert(math.abs(mean - st.mean) < 1e-9, s"sid=${st.sid} bw=${st.bw}")
-        assert(math.abs(m2 - st.m2) < 1e-6, s"sid=${st.sid} bw=${st.bw}")
+      val batch = SparkTestData.seriesRows(values, q).collect()
+      assert(got.size === batch.map(_.mean.length).sum)
+      for (s <- batch; bw <- s.mean.indices) {
+        val (cnt, mean, m2) = got((s.sid, bw))
+        assert(cnt === q.bwSize.toLong)
+        assert(math.abs(mean - s.mean(bw)) < 1e-9, s"sid=${s.sid} bw=$bw")
+        assert(math.abs(m2 - s.m2(bw)) < 1e-6, s"sid=${s.sid} bw=$bw")
       }
     } finally query.stop()
   }
