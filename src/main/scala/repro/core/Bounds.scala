@@ -26,10 +26,10 @@ object Bounds {
     * zero-variance basic windows use the conservative ``c = −1``.
     * ``P`` has length ``nBw + 1``.
     */
-  def upperPrefix(sk: PairSketch): Array[Double] = {
+  def upperPrefix(sk: Pair): Array[Double] = {
     val p = new Array[Double](sk.nBw + 1)
     var t = 0
-    while (t < sk.nBw) { p(t + 1) = p(t) + (1.0 - PairMath.bwCorr(sk, t, fallback = -1.0)); t += 1 }
+    while (t < sk.nBw) { p(t + 1) = p(t) + (1.0 - PairMath.bwCorr(sk, t)); t += 1 }
     p
   }
 

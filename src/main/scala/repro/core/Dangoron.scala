@@ -13,9 +13,10 @@ final case class RunStats(computedWindows: Long, skippedWindows: Long) {
 }
 
 /** Dangoron on Spark: the per-pair jump sweep parallelized across the
-  * N(N−1)/2 pairs as a typed ``flatMap`` over the pair-sketch Dataset.
-  * Pairs are independent, so this is the natural distribution axis; Spark
-  * accumulators surface how much work the Eq. 2 jumps eliminated.
+  * N(N−1)/2 pairs as a typed ``flatMap`` over the sketch rows, each task
+  * sweeping the pairs of its tiles. Pairs are independent, so this is the
+  * natural distribution axis; Spark accumulators surface how much work the
+  * Eq. 2 jumps eliminated.
   */
 object Dangoron {
 
@@ -25,12 +26,12 @@ object Dangoron {
     import spark.implicits._
     val computed: LongAccumulator = spark.sparkContext.longAccumulator("dangoron.computedWindows")
     val skipped: LongAccumulator = spark.sparkContext.longAccumulator("dangoron.skippedWindows")
-    val ds = sketches.flatMap { sk =>
-      val r = Sweep.dangoron(sk, q)
+    val ds = sketches.flatMap(_.pairs.flatMap { p =>
+      val r = Sweep.dangoron(p, q)
       computed.add(r.computed)
       skipped.add(r.skipped)
-      r.edges.map { case (w, c) => Edge(sk.i, sk.j, w, c) }
-    }
+      r.edges.map { case (w, c) => Edge(p.i, p.j, w, c) }
+    })
     (ds, () => RunStats(computed.value, skipped.value))
   }
 

@@ -16,17 +16,20 @@ object HorizontalPrune {
 
   final case class WindowResult(edges: Vector[Edge], prunedPairs: Long, computedPairs: Long)
 
-  /** Exact correlations of every series to the pivot at window ``w``. */
+  /** Exact correlations of every series to the pivot at window ``w``,
+    * computed in the tasks; only ``(sid, corr)`` reaches the driver.
+    */
   def pivotCorrs(sketches: Dataset[PairSketch], q: SlidingQuery, w: Int, pivot: Int): Map[Int, Double] = {
+    val spark = sketches.sparkSession
+    import spark.implicits._
     val from = q.windowOffsetBw(w)
     val nS = q.nS; val b = q.bwSize
     sketches
-      .filter(sk => sk.i == pivot || sk.j == pivot)
+      .flatMap(_.pairs.collect {
+        case p if p.i == pivot || p.j == pivot =>
+          (if (p.i == pivot) p.j else p.i) -> PairMath.windowCorr(p, from, nS, b)
+      })
       .collect()
-      .map { sk =>
-        val other = if (sk.i == pivot) sk.j else sk.i
-        other -> PairMath.windowCorr(sk, from, nS, b)
-      }
       .toMap
   }
 
@@ -45,13 +48,13 @@ object HorizontalPrune {
     val nS = q.nS; val b = q.bwSize; val beta = q.beta
     import spark.implicits._
     val edges = sketches
-      .flatMap { sk =>
-        val isPivotPair = sk.i == pivot || sk.j == pivot
+      .flatMap(_.pairs.flatMap { p =>
+        val isPivotPair = p.i == pivot || p.j == pivot
         val keep =
           if (isPivotPair) true
           else {
             val m = bc.value
-            (m.get(sk.i), m.get(sk.j)) match {
+            (m.get(p.i), m.get(p.j)) match {
               case (Some(ci), Some(cj)) => Bounds.triangle(ci, cj)._2 >= beta
               case _                    => true // pivot corr unknown — cannot prune
             }
@@ -59,10 +62,10 @@ object HorizontalPrune {
         if (!keep) { pruned.add(1); None }
         else {
           computedAcc.add(1)
-          val c = PairMath.windowCorr(sk, from, nS, b)
-          if (c >= beta) Some(Edge(sk.i, sk.j, w, c)) else None
+          val c = PairMath.windowCorr(p, from, nS, b)
+          if (c >= beta) Some(Edge(p.i, p.j, w, c)) else None
         }
-      }
+      })
       .collect()
       .toVector
     WindowResult(edges, pruned.value, computedAcc.value)

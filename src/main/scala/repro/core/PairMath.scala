@@ -2,7 +2,7 @@ package repro.core
 
 /** Exact Pearson recombination from basic-window sketches (the paper's
   * Eq. 1), in pure Scala so it can be unit-tested without Spark and run
-  * inside per-pair `Dataset.flatMap` tasks.
+  * inside the sweep tasks, one pair view at a time.
   *
   * The identity used (uniform basic-window size ``b``):
   *
@@ -24,14 +24,14 @@ object PairMath {
   final class WindowSums {
     var sMuX, sMuY, sMuX2, sMuY2, sMuXY, sM2x, sM2y, sCp: Double = 0.0
 
-    def addBw(sk: PairSketch, t: Int): Unit = {
+    def addBw(sk: Pair, t: Int): Unit = {
       val mx = sk.meanX(t); val my = sk.meanY(t)
       sMuX += mx; sMuY += my
       sMuX2 += mx * mx; sMuY2 += my * my; sMuXY += mx * my
       sM2x += sk.m2x(t); sM2y += sk.m2y(t); sCp += sk.cp(t)
     }
 
-    def removeBw(sk: PairSketch, t: Int): Unit = {
+    def removeBw(sk: Pair, t: Int): Unit = {
       val mx = sk.meanX(t); val my = sk.meanY(t)
       sMuX -= mx; sMuY -= my
       sMuX2 -= mx * mx; sMuY2 -= my * my; sMuXY -= mx * my
@@ -40,7 +40,7 @@ object PairMath {
   }
 
   /** Fresh sums for the window covering local basic windows [from, from + nS). */
-  def buildSums(sk: PairSketch, from: Int, nS: Int): WindowSums = {
+  def buildSums(sk: Pair, from: Int, nS: Int): WindowSums = {
     val ws = new WindowSums
     var t = from
     while (t < from + nS) { ws.addBw(sk, t); t += 1 }
@@ -48,7 +48,7 @@ object PairMath {
   }
 
   /** Roll sums forward by ``s`` basic windows (slide one step). */
-  def roll(ws: WindowSums, sk: PairSketch, from: Int, nS: Int, s: Int): Unit = {
+  def roll(ws: WindowSums, sk: Pair, from: Int, nS: Int, s: Int): Unit = {
     var t = from
     while (t < from + s) { ws.removeBw(sk, t); t += 1 }
     t = from + nS
@@ -69,16 +69,15 @@ object PairMath {
   /** One-shot exact window correlation (build + evaluate) — what TSUBASA
     * does for every window of a sliding query.
     */
-  def windowCorr(sk: PairSketch, from: Int, nS: Int, b: Int): Double =
+  def windowCorr(sk: Pair, from: Int, nS: Int, b: Int): Double =
     corrFromSums(buildSums(sk, from, nS), nS, b)
 
   /** Correlation of one basic window; ``undefined`` (zero variance) basic
-    * windows return ``fallback`` (the bound machinery passes −1, the most
-    * conservative value for the Eq. 2 upper bound).
+    * windows return −1, the most conservative value for the Eq. 2 upper bound.
     */
-  def bwCorr(sk: PairSketch, t: Int, fallback: Double = -1.0): Double = {
+  def bwCorr(sk: Pair, t: Int): Double = {
     val d = sk.m2x(t) * sk.m2y(t)
-    if (d <= VarEps * VarEps) fallback else clamp(sk.cp(t) / math.sqrt(d))
+    if (d <= VarEps * VarEps) -1.0 else clamp(sk.cp(t) / math.sqrt(d))
   }
 
   /** Direct Pearson correlation over two aligned slices — the naive ground

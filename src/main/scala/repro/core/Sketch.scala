@@ -22,13 +22,20 @@ final case class SeriesRow(sid: Int, vals: Array[Double], mean: Array[Double], m
   */
 final case class Tile(bi: Int, bj: Int, blockI: Array[SeriesRow], blockJ: Array[SeriesRow]) {
 
-  /** Every pair of the tile once, lower sid first, emitted lazily: a task
-    * holds a tile's series, never its pairs.
+  /** The tile's series, block I then block J. */
+  def series: Array[SeriesRow] = blockI ++ blockJ
+
+  /** Every pair of the tile once, lower sid first, as indices into
+    * [[series]], emitted lazily: the one pair order of the grid.
     */
-  def pairs: Iterator[(SeriesRow, SeriesRow)] =
-    if (bi == bj)
-      for (x <- blockI.indices.iterator; y <- (x + 1 until blockI.length).iterator) yield (blockI(x), blockI(y))
-    else for (x <- blockI.iterator; y <- blockJ.iterator) yield if (x.sid < y.sid) (x, y) else (y, x)
+  def pairIndices: Iterator[(Int, Int)] = {
+    val (s, n) = (series, blockI.length)
+    if (bi == bj) for (x <- (0 until n).iterator; y <- (x + 1 until n).iterator) yield (x, y)
+    else for (x <- (0 until n).iterator; y <- (n until s.length).iterator) yield if (s(x).sid < s(y).sid) (x, y) else (y, x)
+  }
+
+  /** Every pair of the tile once, as [[pairIndices]] orders them. */
+  def pairs: Iterator[(SeriesRow, SeriesRow)] = { val s = series; pairIndices.map { case (x, y) => (s(x), s(y)) } }
 }
 
 /** The basic-window sketch substrate, shared by Dangoron and TSUBASA.
@@ -40,9 +47,9 @@ final case class Tile(bi: Int, bj: Int, blockI: Array[SeriesRow], blockJ: Array[
   * one span per series, in place, about 12 bytes a reading whatever the
   * input layout; [[pairStats]] sends each span to the ``k`` tiles of its
   * block ``sid % k``, one tile per partition, where the spans of a series
-  * merge into its row with its basic-window stats; [[pairSketches]] computes
-  * each tile's pairs in a ``flatMap``. The tiles are the one pair grid:
-  * NaiveCorr and ParCorr read them too.
+  * merge into its row with its basic-window stats; [[pairSketches]] turns
+  * each tile into one sketch row in a ``flatMap``. The tiles are the one pair
+  * grid: NaiveCorr and ParCorr read them too.
   */
 object Sketch {
 
@@ -98,17 +105,22 @@ object Sketch {
     spark.createDataset(tiles)
   }
 
-  /** The sketch of every pair in each tile, emitted lazily. */
+  /** One sketch row per tile with a pair: its series' stats once, and the
+    * cross products of each of its pairs.
+    */
   def pairSketches(tiles: Dataset[Tile], q: SlidingQuery): Dataset[PairSketch] = {
     val spark = tiles.sparkSession
     import spark.implicits._
     val b = q.bwSize
-    tiles.flatMap(_.pairs.map { case (x, y) =>
-      PairSketch(x.sid, y.sid, x.mean, x.m2, y.mean, y.m2, crossProducts(x, y, b))
-    })
+    tiles.flatMap { tile =>
+      val s = tile.series
+      val (x, y) = tile.pairIndices.toArray.unzip
+      Option.when(x.nonEmpty)(PairSketch(s.map(_.sid), s.map(_.mean), s.map(_.m2), x, y,
+        x.indices.map(p => crossProducts(s(x(p)), s(y(p)), b)).toArray))
+    }
   }
 
-  /** Build pair sketches straight from raw values. */
+  /** Build the sketch rows straight from raw values. */
   def build(values: DataFrame, q: SlidingQuery): Dataset[PairSketch] =
     pairSketches(pairStats(segments(values, q)), q)
 

@@ -24,7 +24,7 @@ object Sweep {
     * the landing window. Consecutive evaluated windows reuse sums with an
     * O(s) roll instead of an O(n_s) rebuild.
     */
-  def dangoron(sk: PairSketch, q: SlidingQuery): SweepResult = {
+  def dangoron(sk: Pair, q: SlidingQuery): SweepResult = {
     val out = new ArrayBuffer[(Int, Double)]
     var computed = 0L
     var skipped = 0L
@@ -34,21 +34,16 @@ object Sweep {
     while (w < q.numWindows) {
       val corr = PairMath.corrFromSums(sums, q.nS, q.bwSize)
       computed += 1
-      if (corr >= q.beta) {
-        out += ((w, corr))
+      val k =
+        if (corr >= q.beta) { out += ((w, corr)); 0 }
+        else Bounds.maxJump(corr, q.beta, prefix, q.windowOffsetBw(w) + q.nS, q.s, q.nS, q.numWindows - 1 - w)
+      if (k == 0) {
         if (w + 1 < q.numWindows) PairMath.roll(sums, sk, q.windowOffsetBw(w), q.nS, q.s)
         w += 1
       } else {
-        val inStart = q.windowOffsetBw(w) + q.nS
-        val k = Bounds.maxJump(corr, q.beta, prefix, inStart, q.s, q.nS, q.numWindows - 1 - w)
-        if (k == 0) {
-          if (w + 1 < q.numWindows) PairMath.roll(sums, sk, q.windowOffsetBw(w), q.nS, q.s)
-          w += 1
-        } else {
-          skipped += k
-          w += k + 1
-          if (w < q.numWindows) sums = PairMath.buildSums(sk, q.windowOffsetBw(w), q.nS)
-        }
+        skipped += k
+        w += k + 1
+        if (w < q.numWindows) sums = PairMath.buildSums(sk, q.windowOffsetBw(w), q.nS)
       }
     }
     SweepResult(out.toVector, computed, skipped)
@@ -58,7 +53,7 @@ object Sweep {
     * scratch (O(n_s) per window, no cross-window reuse, no skipping) — the
     * baseline behaviour the paper attributes to TSUBASA on sliding queries.
     */
-  def tsubasa(sk: PairSketch, q: SlidingQuery): SweepResult = {
+  def tsubasa(sk: Pair, q: SlidingQuery): SweepResult = {
     val out = new ArrayBuffer[(Int, Double)]
     var w = 0
     while (w < q.numWindows) {

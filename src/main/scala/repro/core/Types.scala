@@ -47,7 +47,8 @@ final case class SlidingQuery(
   def windowStartT(w: Int): Long = start + w.toLong * step
 }
 
-/** Per-pair basic-window sketch over the query range.
+/** One pair's basic-window sketch over the query range: a view a task builds
+  * from references into a [[PairSketch]] row, never stored.
   *
   * All arrays are indexed by local basic-window index ``0 until nBw``.
   * ``meanX``/``meanY`` are the basic-window means, ``m2x``/``m2y`` the
@@ -56,16 +57,24 @@ final case class SlidingQuery(
   * the statistics of the paper's Eq. 1 (σ = sqrt(m2/B), c = cp/sqrt(m2x·m2y)),
   * stored in the numerically safer cov form.
   */
-final case class PairSketch(
-    i: Int,
-    j: Int,
-    meanX: Array[Double],
-    m2x: Array[Double],
-    meanY: Array[Double],
-    m2y: Array[Double],
-    cp: Array[Double]
-) {
+final case class Pair(i: Int, j: Int, meanX: Array[Double], m2x: Array[Double],
+                      meanY: Array[Double], m2y: Array[Double], cp: Array[Double]) {
   def nBw: Int = meanX.length
+}
+
+/** The cached sketch of one tile of the all-pairs grid, each piece of Eq. 1's
+  * state stored once: series ``s`` of the tile has sid ``sid(s)`` and
+  * basic-window ``mean(s)``/``m2(s)``; pair ``p`` joins series ``x(p)`` and
+  * ``y(p)`` (lower sid first, in [[Tile.pairs]] order) with cross products
+  * ``cp(p)``.
+  */
+final case class PairSketch(sid: Array[Int], mean: Array[Array[Double]], m2: Array[Array[Double]],
+                            x: Array[Int], y: Array[Int], cp: Array[Array[Double]]) {
+  /** Each pair's view, lazily, sharing the row's arrays. */
+  def pairs: Iterator[Pair] = cp.indices.iterator.map { p =>
+    val (a, b) = (x(p), y(p))
+    Pair(sid(a), sid(b), mean(a), m2(a), mean(b), m2(b), cp(p))
+  }
 }
 
 /** A thresholded network edge: ``corr(i, j) ≥ β`` in sliding window ``w``. */

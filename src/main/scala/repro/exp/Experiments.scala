@@ -125,7 +125,7 @@ object Experiments {
     val truth = NaiveCorr.allCorrs(tiles, qBase).persist(StorageLevel.MEMORY_AND_DISK)
     truth.count()
     val sketches = Sketch.pairSketches(tiles, qBase).persist(StorageLevel.MEMORY_AND_DISK)
-    val nPairs = sketches.count()
+    val nPairs = sketches.rdd.map(_.cp.length.toLong).fold(0L)(_ + _)
     val total = nPairs * qBase.numWindows
     val rows = betas.flatMap { beta =>
       val q = qBase.copy(beta = beta)

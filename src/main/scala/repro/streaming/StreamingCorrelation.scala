@@ -2,48 +2,22 @@ package repro.streaming
 
 import scala.collection.mutable
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.SparkSession
 
 import repro.core.{Dangoron, Edge, SlidingQuery}
 
-/** Structured Streaming substrate for Dangoron (per the reproduction
-  * hint): maintain basic-window sketches with event-time windowed
-  * aggregation, and emit thresholded correlation edges as sliding windows
-  * complete, pruning below-threshold entries with DataFrame filters.
-  *
-  * Input stream contract: ``sid: Int, ts: Timestamp, v: Double``, where the
-  * timestamp encodes the dense step index (``epoch second = t``).
+/** Incremental Dangoron over a stream of readings, driven from
+  * ``foreachBatch`` or any loop that hands over micro-batches of
+  * ``(sid, t, v)`` rows.
   */
 object StreamingCorrelation {
 
-  /** Per-series basic-window statistics as a streaming aggregation:
-    * ``groupBy(sid, window(ts, bwSize seconds))``. Emits
-    * ``(sid, bw, cnt, mean, m2)``, one row per series and basic window, so
-    * the test suite diffs it against the series stats the batch tiles hold.
-    * Works on both streaming and batch DataFrames.
-    */
-  def bwStats(readings: DataFrame, bwSize: Int, origin: Long = 0L): DataFrame = {
-    readings
-      .groupBy(col("sid"), window(col("ts"), s"$bwSize seconds", s"$bwSize seconds"))
-      .agg(
-        count("v").as("cnt"),
-        avg("v").as("mean"),
-        sum("v").as("sum"),
-        sum(col("v") * col("v")).as("sumsq"))
-      .select(
-        col("sid"),
-        ((unix_timestamp(col("window.start")) - origin) / bwSize).cast("int").as("bw"),
-        col("cnt"),
-        col("mean"),
-        (col("sumsq") - col("sum") * col("sum") / col("cnt")).as("m2"))
-  }
-
-  /** Streaming Dangoron driver, used from ``foreachBatch``: buffers
-    * arriving readings (driver-side state store), tracks the dense frontier
-    * across all series, and whenever new sliding windows complete runs the
-    * Dangoron sweep over exactly the newly-completed window range and
-    * emits its thresholded edges.
+  /** Streaming Dangoron driver: buffers arriving readings on the driver,
+    * tracks the dense frontier across all series, and whenever new sliding
+    * windows complete runs the batch Dangoron over exactly the
+    * newly-completed window range and emits its thresholded edges. Readings
+    * before the next window's start are dropped, so each series buffers at
+    * most a window plus the readings of one micro-batch.
     *
     * Emission is incremental — window ``w``'s edges are produced once, in
     * the first micro-batch whose frontier covers it — and exact: tests
@@ -52,6 +26,7 @@ object StreamingCorrelation {
   final class StreamingDangoron(spark: SparkSession, nSeries: Int, q: SlidingQuery) {
     private val buffer: Array[mutable.ArrayBuffer[Double]] =
       Array.fill(nSeries)(mutable.ArrayBuffer.empty[Double])
+    private var base = 0L // t of every series' first buffered reading
     private var emittedWindows = 0
     private val collected = mutable.ArrayBuffer.empty[Edge]
 
@@ -61,8 +36,11 @@ object StreamingCorrelation {
     /** All edges emitted so far. */
     def edgesSoFar: Vector[Edge] = collected.toVector
 
-    /** Dense frontier: number of leading time steps present for ALL series. */
-    private def frontier(): Long = buffer.map(_.length.toLong).min
+    /** Readings buffered for the longest series. */
+    private[streaming] def buffered: Int = buffer.map(_.length).max
+
+    /** Dense frontier: the first step that some series still lacks. */
+    private def frontier(): Long = base + buffer.map(_.length).min
 
     private def completeWindows(f: Long): Int = {
       val avail = f - q.start
@@ -78,7 +56,7 @@ object StreamingCorrelation {
       */
     def ingest(batch: Array[(Int, Long, Double)]): Vector[Edge] = {
       val rows = batch.sortBy(r => (r._1, r._2))
-      val next = buffer.map(_.length.toLong)
+      val next = buffer.map(base + _.length)
       rows.foreach { case (sid, t, v) =>
         require(sid >= 0 && sid < nSeries, s"sid=$sid out of range [0, $nSeries) at t=$t")
         require(!v.isNaN && !v.isInfinite, s"non-finite value $v at sid=$sid, t=$t")
@@ -86,7 +64,10 @@ object StreamingCorrelation {
         next(sid) += 1
       }
       rows.foreach { case (sid, _, v) => buffer(sid) += v }
-      advance()
+      val fresh = advance()
+      val drop = (math.min(q.windowStartT(emittedWindows), frontier()) - base).toInt
+      if (drop > 0) { buffer.foreach(_.remove(0, drop)); base += drop }
+      fresh
     }
 
     /** Run the sweep over windows [emittedWindows, complete). */
@@ -102,7 +83,7 @@ object StreamingCorrelation {
       val rows = for {
         sid <- (0 until nSeries).iterator
         t <- (sub.start until sub.end).iterator
-      } yield (sid, t, buffer(sid)(t.toInt))
+      } yield (sid, t, buffer(sid)((t - base).toInt))
       val values = spark.createDataset(rows.toSeq).toDF("sid", "t", "v")
       val (edgeDs, _) = Dangoron.run(values, sub)
       val fresh = edgeDs.collect().toVector.map(e => e.copy(w = e.w + firstW))

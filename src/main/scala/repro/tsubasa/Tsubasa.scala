@@ -21,11 +21,11 @@ object Tsubasa {
     val spark = sketches.sparkSession
     import spark.implicits._
     val computed = spark.sparkContext.longAccumulator("tsubasa.computedWindows")
-    val ds = sketches.flatMap { sk =>
-      val r = Sweep.tsubasa(sk, q)
+    val ds = sketches.flatMap(_.pairs.flatMap { p =>
+      val r = Sweep.tsubasa(p, q)
       computed.add(r.computed)
-      r.edges.map { case (w, c) => Edge(sk.i, sk.j, w, c) }
-    }
+      r.edges.map { case (w, c) => Edge(p.i, p.j, w, c) }
+    })
     (ds, () => RunStats(computed.value, 0L))
   }
 

@@ -87,9 +87,9 @@ class DangoronSparkSpec extends SparkSpec {
     val sketches = Sketch.build(values, query)
     for (w <- Seq(0, 3, 7)) {
       val pruned = HorizontalPrune.edgesForWindow(sketches, query, w, pivot = 0)
-      val full = sketches.collect().flatMap { sk =>
-        val c = PairMath.windowCorr(sk, query.windowOffsetBw(w), query.nS, query.bwSize)
-        if (c >= query.beta) Some(Edge(sk.i, sk.j, w, c)) else None
+      val full = sketches.collect().flatMap(_.pairs).flatMap { p =>
+        val c = PairMath.windowCorr(p, query.windowOffsetBw(w), query.nS, query.bwSize)
+        if (c >= query.beta) Some(Edge(p.i, p.j, w, c)) else None
       }.toSet
       assert(pruned.edges.toSet === full, s"window $w")
     }

@@ -18,8 +18,11 @@ class SketchSpec extends SparkSpec {
 
   private def blocks = Sketch.blockCount(spark.sparkContext.defaultParallelism)
 
+  /** Every pair view of the sketch rows ``build`` gives. */
+  private def builtPairs(in: DataFrame, qq: SlidingQuery): Array[Pair] = Sketch.build(in, qq).collect().flatMap(_.pairs)
+
   /** Every array of ``got`` equals the local builder's, bit for bit. */
-  private def assertBitIdentical(got: PairSketch, m: Array[Array[Double]], qq: SlidingQuery): Unit = {
+  private def assertBitIdentical(got: Pair, m: Array[Array[Double]], qq: SlidingQuery): Unit = {
     val (from, until) = (qq.start.toInt, qq.end.toInt)
     val want = sketchOf(m(got.i).slice(from, until), m(got.j).slice(from, until), qq.bwSize, got.i, got.j)
     assert(got.meanX === want.meanX, s"meanX of (${got.i},${got.j})")
@@ -114,9 +117,9 @@ class SketchSpec extends SparkSpec {
     val in = timeMajor(v)
     try
       for (layout <- Seq(in, v.repartition(7))) {
-        val sks = Sketch.build(layout, q16).collect()
-        assert(sks.length === 23 * 22 / 2)
-        sks.foreach(assertBitIdentical(_, m, q16))
+        val pairs = builtPairs(layout, q16)
+        assert(pairs.length === 23 * 22 / 2)
+        pairs.foreach(assertBitIdentical(_, m, q16))
       }
     finally in.unpersist()
   }
@@ -169,18 +172,47 @@ class SketchSpec extends SparkSpec {
   }
 
   test("pairSketches assemble arrays identical to the local builder") {
-    val sks = Sketch.build(values, q).collect()
-    assert(sks.length === n * (n - 1) / 2)
-    sks.foreach(assertBitIdentical(_, matrix, q))
+    val pairs = builtPairs(values, q)
+    assert(pairs.length === n * (n - 1) / 2)
+    pairs.foreach(assertBitIdentical(_, matrix, q))
   }
 
   for (nSeries <- Seq(2, 3, 7, 23))
-    test(s"build is bit-identical to the local builder, one sketch per pair (N=$nSeries, non-zero start)") {
+    test(s"build is bit-identical to the local builder, pair view by pair view (N=$nSeries, non-zero start)") {
       val m = Array.tabulate(nSeries)(sid => series(60L + nSeries, sid, len))
-      val sks = Sketch.build(SparkTestData.toValuesDf(spark, m), q16).collect()
-      assert(sks.map(sk => (sk.i, sk.j)).sorted.toSeq ===
-        (for (i <- 0 until nSeries; j <- i + 1 until nSeries) yield (i, j)))
-      sks.foreach(assertBitIdentical(_, m, q16))
+      val v = SparkTestData.toValuesDf(spark, m)
+      val timeMaj = timeMajor(v)
+      try
+        for (layout <- Seq(v, timeMaj, v.repartition(7))) {
+          val pairs = builtPairs(layout, q16)
+          assert(pairs.map(p => (p.i, p.j)).sorted.toSeq ===
+            (for (i <- 0 until nSeries; j <- i + 1 until nSeries) yield (i, j)))
+          pairs.foreach(assertBitIdentical(_, m, q16))
+        }
+      finally timeMaj.unpersist()
+    }
+
+  for (nSeries <- Seq(2, 3, 7, 23))
+    test(s"each sketch row holds its tile's series stats once and exactly the tile's pairs (N=$nSeries)") {
+      val m = Array.tabulate(nSeries)(sid => series(65L + nSeries, sid, len))
+      val tiles = Sketch.pairStats(Sketch.segments(SparkTestData.toValuesDf(spark, m), q16)).persist()
+      try {
+        // pairSketches is a narrow flatMap: partition k of the rows comes from the tile in partition k.
+        val byPart = tiles.rdd.glom().collect().zip(Sketch.pairSketches(tiles, q16).rdd.glom().collect())
+        for ((ts, rows) <- byPart) {
+          val tilePairs = ts.toSeq.flatMap(_.pairs.map { case (x, y) => (x.sid, y.sid) })
+          assert(rows.length === (if (tilePairs.isEmpty) 0 else 1))
+          for (tile <- ts; row <- rows) {
+            assert(row.sid.toSeq === tile.series.map(_.sid).toSeq)
+            assert(row.sid.distinct.length === row.sid.length)
+            for ((s, x) <- tile.series.zipWithIndex) assert(row.mean(x) === s.mean && row.m2(x) === s.m2, s"sid=${s.sid}")
+            assert(row.pairs.map(p => (p.i, p.j)).toSeq === tilePairs)
+            for ((p, k) <- row.pairs.zipWithIndex) // a view shares the row's arrays
+              assert((p.meanX eq row.mean(row.x(k))) && (p.m2y eq row.m2(row.y(k))) && (p.cp eq row.cp(k)))
+          }
+        }
+        assert(byPart.map(_._2.length).sum > 0)
+      } finally tiles.unpersist()
     }
 
   test("build of a single series is empty") {
@@ -193,18 +225,17 @@ class SketchSpec extends SparkSpec {
     val k = blocks
     def tile(i: Int, j: Int) = (math.min(i % k, j % k), math.max(i % k, j % k))
     val tilesPerPart = Sketch.build(SparkTestData.toValuesDf(spark, m), q).rdd
-      .mapPartitions(it => Iterator(it.map(sk => tile(sk.i, sk.j)).toSet))
+      .mapPartitions(it => Iterator(it.flatMap(_.pairs).map(p => tile(p.i, p.j)).toSet))
       .collect().filter(_.nonEmpty)
     assert(tilesPerPart.forall(_.size == 1))
     assert(tilesPerPart.length === (for (i <- 0 until 23; j <- i + 1 until 23) yield tile(i, j)).distinct.length)
   }
 
   test("sketch windowCorr equals direct Pearson on the distributed sketch") {
-    val sks = Sketch.build(values, q).collect()
-    sks.foreach { sk =>
+    builtPairs(values, q).foreach { p =>
       for (w <- 0 until q.numWindows) {
-        val viaSketch = PairMath.windowCorr(sk, q.windowOffsetBw(w), q.nS, q.bwSize)
-        val direct = PairMath.directPearson(matrix(sk.i), matrix(sk.j), w * q.step, q.windowLen)
+        val viaSketch = PairMath.windowCorr(p, q.windowOffsetBw(w), q.nS, q.bwSize)
+        val direct = PairMath.directPearson(matrix(p.i), matrix(p.j), w * q.step, q.windowLen)
         assert(math.abs(viaSketch - direct) < 1e-9)
       }
     }
@@ -256,6 +287,6 @@ class SketchSpec extends SparkSpec {
     val q2 = SlidingQuery(0L, 64L, 32, 16, 0.0, 16)
     val sks = Sketch.build(v2, q2).collect()
     assert(sks.length === 1)
-    assert(sks.head.i === 0 && sks.head.j === 1)
+    assert(sks.head.pairs.map(p => (p.i, p.j)).toSeq === Seq((0, 1)))
   }
 }

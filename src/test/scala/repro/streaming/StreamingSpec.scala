@@ -1,10 +1,5 @@
 package repro.streaming
 
-import java.sql.Timestamp
-
-import org.apache.spark.sql.execution.streaming.runtime.MemoryStream
-import org.apache.spark.sql.functions._
-
 import repro.{SparkSpec, SparkTestData}
 import repro.core.{Dangoron, SlidingQuery}
 
@@ -15,43 +10,6 @@ class StreamingSpec extends SparkSpec {
   private lazy val matrix = SparkTestData.panel(95L, n, len)
   private lazy val values = SparkTestData.toValuesDf(spark, matrix)
   private lazy val q = SlidingQuery(0L, len.toLong, windowLen = 48, step = 8, beta = 0.6, bwSize = 8)
-
-  // --- Structured Streaming basic-window sketch maintenance -----------------
-  test("streaming bwStats equals batch sketch stats") {
-    import spark.implicits._
-    implicit val sqlCtx = spark.sqlContext
-    val stream = MemoryStream[(Int, Long, Double)]
-    val readings = stream.toDF()
-      .select(col("_1").as("sid"),
-        col("_2").cast("timestamp").as("ts"),
-        col("_3").as("v"))
-    val agg = StreamingCorrelation.bwStats(readings, q.bwSize)
-    val query = agg.writeStream
-      .format("memory")
-      .queryName("bwstats")
-      .outputMode("complete")
-      .start()
-    try {
-      // feed in three uneven chunks
-      val rows = for (sid <- 0 until n; t <- 0 until len) yield (sid, t.toLong, matrix(sid)(t))
-      val (c1, rest) = rows.splitAt(100)
-      val (c2, c3) = rest.splitAt(333)
-      stream.addData(c1); query.processAllAvailable()
-      stream.addData(c2); query.processAllAvailable()
-      stream.addData(c3); query.processAllAvailable()
-      val got = spark.table("bwstats").collect()
-        .map(r => (r.getInt(0), r.getInt(1)) -> (r.getLong(2), r.getDouble(3), r.getDouble(4)))
-        .toMap
-      val batch = SparkTestData.seriesRows(values, q).collect()
-      assert(got.size === batch.map(_.mean.length).sum)
-      for (s <- batch; bw <- s.mean.indices) {
-        val (cnt, mean, m2) = got((s.sid, bw))
-        assert(cnt === q.bwSize.toLong)
-        assert(math.abs(mean - s.mean(bw)) < 1e-9, s"sid=${s.sid} bw=$bw")
-        assert(math.abs(m2 - s.m2(bw)) < 1e-6, s"sid=${s.sid} bw=$bw")
-      }
-    } finally query.stop()
-  }
 
   // --- Incremental StreamingDangoron ----------------------------------------
   private def batchEdges = {
@@ -135,6 +93,24 @@ class StreamingSpec extends SparkSpec {
       assert(driver.edgesSoFar.map(e => (e.i, e.j, e.w)).toSet === batchMap.keySet)
       driver.edgesSoFar.foreach(e => assert(math.abs(e.corr - batchMap((e.i, e.j, e.w))) < 1e-9))
     }
+
+  test("StreamingDangoron buffers at most a window plus one batch per series on a 10x longer stream") {
+    val longLen = 10 * len
+    val m = SparkTestData.panel(96L, n, longLen)
+    val longQ = q.copy(end = longLen.toLong)
+    val batchSize = 64
+    val driver = new StreamingCorrelation.StreamingDangoron(spark, n, longQ)
+    for (t <- 0 until longLen by batchSize) {
+      driver.ingest(for { sid <- (0 until n).toArray; u <- (t until t + batchSize).toArray }
+        yield (sid, u.toLong, m(sid)(u)))
+      assert(driver.buffered <= longQ.windowLen + batchSize, s"after the batch at t=$t")
+    }
+    assert(driver.windowsEmitted === longQ.numWindows)
+    val batchMap = Dangoron.run(SparkTestData.toValuesDf(spark, m), longQ)._1.collect()
+      .map(e => (e.i, e.j, e.w) -> e.corr).toMap
+    assert(driver.edgesSoFar.map(e => (e.i, e.j, e.w)).toSet === batchMap.keySet)
+    driver.edgesSoFar.foreach(e => assert(math.abs(e.corr - batchMap((e.i, e.j, e.w))) < 1e-9))
+  }
 
   test("frontier waits for the slowest series") {
     val driver = new StreamingCorrelation.StreamingDangoron(spark, n, q)
