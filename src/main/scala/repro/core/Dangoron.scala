@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, Dataset}
-import org.apache.spark.util.LongAccumulator
 
 /** Work counters for one Dangoron (or TSUBASA) run. Valid only after an
   * action has materialized the edge Dataset.
@@ -24,14 +23,16 @@ object Dangoron {
   def edges(sketches: Dataset[PairSketch], q: SlidingQuery): (Dataset[Edge], () => RunStats) = {
     val spark = sketches.sparkSession
     import spark.implicits._
-    val computed: LongAccumulator = spark.sparkContext.longAccumulator("dangoron.computedWindows")
-    val skipped: LongAccumulator = spark.sparkContext.longAccumulator("dangoron.skippedWindows")
-    val ds = sketches.flatMap(_.pairs.flatMap { p =>
-      val r = Sweep.dangoron(p, q)
-      computed.add(r.computed)
-      skipped.add(r.skipped)
-      r.edges.map { case (w, c) => Edge(p.i, p.j, w, c) }
-    })
+    val computed = spark.sparkContext.longAccumulator("dangoron.computedWindows")
+    val skipped = spark.sparkContext.longAccumulator("dangoron.skippedWindows")
+    val ds = sketches.flatMap { row =>
+      val pre = new PairMath.Prefix // one prefix buffer per sketch row, reused by its pairs
+      row.pairs.flatMap { p =>
+        val r = Sweep.dangoron(p, q, pre)
+        computed.add(r.computed); skipped.add(r.skipped)
+        r.edges.map { case (w, c) => Edge(p.i, p.j, w, c) }
+      }
+    }
     (ds, () => RunStats(computed.value, skipped.value))
   }
 

@@ -34,14 +34,13 @@ object HorizontalPrune {
   }
 
   /** Edges of window ``w`` computed with triangle pruning against ``pivot``.
-    * Pairs touching the pivot are always evaluated (their corr IS the pivot
-    * table); other pairs are evaluated only if their triangle upper bound
-    * reaches β.
+    * Pairs touching the pivot are always kept, their corr read from the
+    * pivot table; other pairs are evaluated only if their triangle upper
+    * bound reaches β.
     */
   def edgesForWindow(sketches: Dataset[PairSketch], q: SlidingQuery, w: Int, pivot: Int): WindowResult = {
     val spark = sketches.sparkSession
-    val pc = pivotCorrs(sketches, q, w, pivot)
-    val bc = spark.sparkContext.broadcast(pc)
+    val bc = spark.sparkContext.broadcast(pivotCorrs(sketches, q, w, pivot))
     val pruned = spark.sparkContext.longAccumulator("horizontal.prunedPairs")
     val computedAcc = spark.sparkContext.longAccumulator("horizontal.computedPairs")
     val from = q.windowOffsetBw(w)
@@ -49,20 +48,12 @@ object HorizontalPrune {
     import spark.implicits._
     val edges = sketches
       .flatMap(_.pairs.flatMap { p =>
-        val isPivotPair = p.i == pivot || p.j == pivot
-        val keep =
-          if (isPivotPair) true
-          else {
-            val m = bc.value
-            (m.get(p.i), m.get(p.j)) match {
-              case (Some(ci), Some(cj)) => Bounds.triangle(ci, cj)._2 >= beta
-              case _                    => true // pivot corr unknown — cannot prune
-            }
-          }
+        val m = bc.value // no key for the pivot: a pivot pair, or one with no pivot corr, is kept
+        val keep = !(m.contains(p.i) && m.contains(p.j)) || Bounds.triangle(m(p.i), m(p.j))._2 >= beta
         if (!keep) { pruned.add(1); None }
         else {
           computedAcc.add(1)
-          val c = PairMath.windowCorr(p, from, nS, b)
+          val c = if (p.i == pivot) m(p.j) else if (p.j == pivot) m(p.i) else PairMath.windowCorr(p, from, nS, b)
           if (c >= beta) Some(Edge(p.i, p.j, w, c)) else None
         }
       })

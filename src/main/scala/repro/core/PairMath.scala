@@ -13,55 +13,69 @@ package repro.core
   *
   * i.e. total covariance = within-basic-window covariance + covariance of
   * the basic-window means, which is Eq. 1 with σσc rewritten as cov and the
-  * δ-terms expanded. This is pure algebra — exact for any data.
+  * δ-terms expanded. This is pure algebra — exact for any data, and for
+  * means shifted by any per-series constant, as the sketch's are.
   */
 object PairMath {
 
   /** Variance below this is treated as zero (constant window ⇒ corr = 0). */
   val VarEps: Double = 1e-12
 
-  /** Rolling sums over the basic windows of one sliding window. */
+  /** Eq. 1's sums over a run of basic windows: of μx, μy, m2x + b·μx², m2y + b·μy², cp + b·μx·μy. */
   final class WindowSums {
-    var sMuX, sMuY, sMuX2, sMuY2, sMuXY, sM2x, sM2y, sCp: Double = 0.0
+    var sMuX, sMuY, sXX, sYY, sXY: Double = 0.0
 
-    def addBw(sk: Pair, t: Int): Unit = {
+    def addBw(sk: Pair, t: Int, b: Int): Unit = {
       val mx = sk.meanX(t); val my = sk.meanY(t)
       sMuX += mx; sMuY += my
-      sMuX2 += mx * mx; sMuY2 += my * my; sMuXY += mx * my
-      sM2x += sk.m2x(t); sM2y += sk.m2y(t); sCp += sk.cp(t)
-    }
-
-    def removeBw(sk: Pair, t: Int): Unit = {
-      val mx = sk.meanX(t); val my = sk.meanY(t)
-      sMuX -= mx; sMuY -= my
-      sMuX2 -= mx * mx; sMuY2 -= my * my; sMuXY -= mx * my
-      sM2x -= sk.m2x(t); sM2y -= sk.m2y(t); sCp -= sk.cp(t)
+      sXX += sk.m2x(t) + b * mx * mx; sYY += sk.m2y(t) + b * my * my; sXY += sk.cp(t) + b * mx * my
     }
   }
 
-  /** Fresh sums for the window covering local basic windows [from, from + nS). */
-  def buildSums(sk: Pair, from: Int, nS: Int): WindowSums = {
+  /** Fresh sums for the window covering local basic windows [from, from + nS): O(n_s). */
+  def buildSums(sk: Pair, from: Int, nS: Int, b: Int): WindowSums = {
     val ws = new WindowSums
     var t = from
-    while (t < from + nS) { ws.addBw(sk, t); t += 1 }
+    while (t < from + nS) { ws.addBw(sk, t, b); t += 1 }
     ws
   }
 
-  /** Roll sums forward by ``s`` basic windows (slide one step). */
-  def roll(ws: WindowSums, sk: Pair, from: Int, nS: Int, s: Int): Unit = {
-    var t = from
-    while (t < from + s) { ws.removeBw(sk, t); t += 1 }
-    t = from + nS
-    while (t < from + nS + s) { ws.addBw(sk, t); t += 1 }
+  /** One pair's prefix sums in a buffer reused from pair to pair: [[fill]]
+    * loads them in one pass, entry ``5t + k`` holding term ``k`` of the sums
+    * over basic windows ``[0, t)``; [[corr]] is Eq. 1 for the window over
+    * ``[from, from + nS)`` from two lookups per term, O(1) for any slide.
+    */
+  final class Prefix {
+    private var p = new Array[Double](0)
+    private val ws = new WindowSums
+
+    def fill(sk: Pair, b: Int): Prefix = {
+      if (p.length < 5 * (sk.nBw + 1)) p = new Array[Double](5 * (sk.nBw + 1))
+      val run = new WindowSums
+      var t = 0
+      while (t < sk.nBw) {
+        run.addBw(sk, t, b); t += 1
+        val at = 5 * t
+        p(at) = run.sMuX; p(at + 1) = run.sMuY; p(at + 2) = run.sXX; p(at + 3) = run.sYY; p(at + 4) = run.sXY
+      }
+      this
+    }
+
+    def corr(from: Int, nS: Int, b: Int): Double = {
+      val hi = 5 * (from + nS); val lo = 5 * from
+      ws.sMuX = p(hi) - p(lo); ws.sMuY = p(hi + 1) - p(lo + 1)
+      ws.sXX = p(hi + 2) - p(lo + 2); ws.sYY = p(hi + 3) - p(lo + 3); ws.sXY = p(hi + 4) - p(lo + 4)
+      corrFromSums(ws, nS, b)
+    }
   }
 
-  /** Eq. 1: exact Pearson correlation of the window from its sums.
-    * Windows where either series is constant get correlation 0.
+  /** Eq. 1: exact Pearson correlation of a window from its sums, fresh or
+    * prefix differences. Windows where either series is constant get 0.
     */
   def corrFromSums(ws: WindowSums, nS: Int, b: Int): Double = {
-    val num  = ws.sCp + b * (ws.sMuXY - ws.sMuX * ws.sMuY / nS)
-    val denx = ws.sM2x + b * (ws.sMuX2 - ws.sMuX * ws.sMuX / nS)
-    val deny = ws.sM2y + b * (ws.sMuY2 - ws.sMuY * ws.sMuY / nS)
+    val num  = ws.sXY - b * ws.sMuX * ws.sMuY / nS
+    val denx = ws.sXX - b * ws.sMuX * ws.sMuX / nS
+    val deny = ws.sYY - b * ws.sMuY * ws.sMuY / nS
     if (denx <= VarEps || deny <= VarEps) 0.0
     else clamp(num / math.sqrt(denx) / math.sqrt(deny))
   }
@@ -70,7 +84,7 @@ object PairMath {
     * does for every window of a sliding query.
     */
   def windowCorr(sk: Pair, from: Int, nS: Int, b: Int): Double =
-    corrFromSums(buildSums(sk, from, nS), nS, b)
+    corrFromSums(buildSums(sk, from, nS, b), nS, b)
 
   /** Correlation of one basic window; ``undefined`` (zero variance) basic
     * windows return −1, the most conservative value for the Eq. 2 upper bound.
@@ -98,9 +112,6 @@ object PairMath {
     }
     if (vx <= VarEps || vy <= VarEps) 0.0 else clamp(cxy / math.sqrt(vx) / math.sqrt(vy))
   }
-
-  def directPearson(x: Array[Double], y: Array[Double]): Double =
-    directPearson(x, y, 0, x.length)
 
   def clamp(c: Double): Double = math.min(1.0, math.max(-1.0, c))
 }

@@ -105,8 +105,8 @@ object Sketch {
     spark.createDataset(tiles)
   }
 
-  /** One sketch row per tile with a pair: its series' stats once, and the
-    * cross products of each of its pairs.
+  /** One sketch row per tile with a pair: its series' stats once, means
+    * [[centered]], and the cross products of each of its pairs.
     */
   def pairSketches(tiles: Dataset[Tile], q: SlidingQuery): Dataset[PairSketch] = {
     val spark = tiles.sparkSession
@@ -115,7 +115,7 @@ object Sketch {
     tiles.flatMap { tile =>
       val s = tile.series
       val (x, y) = tile.pairIndices.toArray.unzip
-      Option.when(x.nonEmpty)(PairSketch(s.map(_.sid), s.map(_.mean), s.map(_.m2), x, y,
+      Option.when(x.nonEmpty)(PairSketch(s.map(_.sid), s.map(r => centered(r.mean)), s.map(_.m2), x, y,
         x.indices.map(p => crossProducts(s(x(p)), s(y(p)), b)).toArray))
     }
   }
@@ -138,6 +138,11 @@ object Sketch {
     val stats = Array.tabulate(len / b)(t => meanM2(vals.slice(t * b, (t + 1) * b)))
     SeriesRow(sid, vals, stats.map(_._1), stats.map(_._2))
   }
+
+  /** Basic-window means less the series' mean over the query range, alike in every tile: Eq. 1
+    * is shift-invariant, and centered means keep its sums from cancelling on data far from zero.
+    */
+  def centered(mean: Array[Double]): Array[Double] = { val c = mean.sum / mean.length; mean.map(_ - c) }
 
   /** Per basic window ``t``, ``Σ (x − meanX(t))(y − meanY(t))`` in time order. */
   private def crossProducts(x: SeriesRow, y: SeriesRow, b: Int): Array[Double] =

@@ -21,30 +21,23 @@ object Sweep {
     * exactly; if the pair is below β, binary-search the Eq. 2 prefix-sum
     * bound for the furthest window that is still provably (under the
     * paper's assumption) below β, skip straight past it, and re-evaluate at
-    * the landing window. Consecutive evaluated windows reuse sums with an
-    * O(s) roll instead of an O(n_s) rebuild.
+    * the landing window. Each evaluated window is O(1), two lookups per term
+    * in the pair's Eq. 1 prefix sums, built in one pass into ``pre``.
     */
-  def dangoron(sk: Pair, q: SlidingQuery): SweepResult = {
+  def dangoron(sk: Pair, q: SlidingQuery, pre: PairMath.Prefix = new PairMath.Prefix): SweepResult = {
     val out = new ArrayBuffer[(Int, Double)]
-    var computed = 0L
-    var skipped = 0L
-    val prefix = Bounds.upperPrefix(sk)
+    var computed, skipped = 0L
+    val bound = Bounds.upperPrefix(sk)
+    val sums = pre.fill(sk, q.bwSize)
     var w = 0
-    var sums = PairMath.buildSums(sk, 0, q.nS)
     while (w < q.numWindows) {
-      val corr = PairMath.corrFromSums(sums, q.nS, q.bwSize)
+      val corr = sums.corr(q.windowOffsetBw(w), q.nS, q.bwSize)
       computed += 1
       val k =
         if (corr >= q.beta) { out += ((w, corr)); 0 }
-        else Bounds.maxJump(corr, q.beta, prefix, q.windowOffsetBw(w) + q.nS, q.s, q.nS, q.numWindows - 1 - w)
-      if (k == 0) {
-        if (w + 1 < q.numWindows) PairMath.roll(sums, sk, q.windowOffsetBw(w), q.nS, q.s)
-        w += 1
-      } else {
-        skipped += k
-        w += k + 1
-        if (w < q.numWindows) sums = PairMath.buildSums(sk, q.windowOffsetBw(w), q.nS)
-      }
+        else Bounds.maxJump(corr, q.beta, bound, q.windowOffsetBw(w) + q.nS, q.s, q.nS, q.numWindows - 1 - w)
+      skipped += k
+      w += k + 1
     }
     SweepResult(out.toVector, computed, skipped)
   }

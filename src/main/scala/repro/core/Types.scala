@@ -51,11 +51,10 @@ final case class SlidingQuery(
   * from references into a [[PairSketch]] row, never stored.
   *
   * All arrays are indexed by local basic-window index ``0 until nBw``.
-  * ``meanX``/``meanY`` are the basic-window means, ``m2x``/``m2y`` the
-  * centered sums of squares ``Σ (v − mean)²``, and ``cp`` the centered
-  * cross products ``Σ (x − meanX)(y − meanY)``. Together these are exactly
-  * the statistics of the paper's Eq. 1 (σ = sqrt(m2/B), c = cp/sqrt(m2x·m2y)),
-  * stored in the numerically safer cov form.
+  * ``meanX``/``meanY`` are the basic-window means, [[Sketch.centered]];
+  * ``m2x``/``m2y`` the sums of squares ``Σ (v − mean)²`` and ``cp`` the
+  * cross products ``Σ (x − meanX)(y − meanY)``, about the raw means: Eq. 1's
+  * statistics (σ = sqrt(m2/B), c = cp/sqrt(m2x·m2y)) in the safer cov form.
   */
 final case class Pair(i: Int, j: Int, meanX: Array[Double], m2x: Array[Double],
                       meanY: Array[Double], m2y: Array[Double], cp: Array[Double]) {

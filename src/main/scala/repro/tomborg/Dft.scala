@@ -67,29 +67,6 @@ object Dft {
     }
   }
 
-  /** Naive O(n²) DFT (same conventions as [[fftInPlace]]) — test oracle. */
-  def naiveDft(re: Array[Double], im: Array[Double], inverse: Boolean): (Array[Double], Array[Double]) = {
-    val n = re.length
-    val outR = new Array[Double](n); val outI = new Array[Double](n)
-    val sign = if (inverse) 2.0 else -2.0
-    var k = 0
-    while (k < n) {
-      var sR = 0.0; var sI = 0.0
-      var t = 0
-      while (t < n) {
-        val ang = sign * math.Pi * k * t / n
-        val c = math.cos(ang); val s = math.sin(ang)
-        sR += re(t) * c - im(t) * s
-        sI += re(t) * s + im(t) * c
-        t += 1
-      }
-      outR(k) = if (inverse) sR / n else sR
-      outI(k) = if (inverse) sI / n else sI
-      k += 1
-    }
-    (outR, outI)
-  }
-
   /** Real-valued inverse DFT: coefficients ``a(0..L/2)``, ``b(0..L/2)``
     * (``b(0)`` and ``b(L/2)`` must be 0) → real series of even, power-of-two
     * length L. Implemented by packing a conjugate-symmetric complex

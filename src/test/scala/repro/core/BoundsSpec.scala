@@ -14,8 +14,8 @@ class BoundsSpec extends AnyFunSuite with PropSupport {
       val x = series(seed, 0, len)
       val y = series(seed + 1, 1, len)
       val z = series(seed + 2, 2, len)
-      val cxy = PairMath.directPearson(x, y)
-      val (lo, hi) = Bounds.triangle(PairMath.directPearson(x, z), PairMath.directPearson(y, z))
+      val cxy = PairMath.directPearson(x, y, 0, x.length)
+      val (lo, hi) = Bounds.triangle(PairMath.directPearson(x, z, 0, x.length), PairMath.directPearson(y, z, 0, y.length))
       cxy >= lo - 1e-9 && cxy <= hi + 1e-9
     })
   }
@@ -25,8 +25,8 @@ class BoundsSpec extends AnyFunSuite with PropSupport {
       val x = randomWalk(seed, 0, 64)
       val y = randomWalk(seed, 1, 64)
       val z = randomWalk(seed, 2, 64)
-      val (lo, hi) = Bounds.triangle(PairMath.directPearson(x, z), PairMath.directPearson(y, z))
-      val cxy = PairMath.directPearson(x, y)
+      val (lo, hi) = Bounds.triangle(PairMath.directPearson(x, z, 0, x.length), PairMath.directPearson(y, z, 0, y.length))
+      val cxy = PairMath.directPearson(x, y, 0, x.length)
       assert(cxy >= lo - 1e-9 && cxy <= hi + 1e-9)
     }
   }

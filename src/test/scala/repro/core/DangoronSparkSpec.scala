@@ -2,6 +2,8 @@ package repro.core
 
 import repro.{SparkSpec, SparkTestData}
 import repro.naive.NaiveCorr
+import repro.streaming.StreamingCorrelation.StreamingDangoron
+import repro.tsubasa.Tsubasa
 
 class DangoronSparkSpec extends SparkSpec {
 
@@ -22,6 +24,34 @@ class DangoronSparkSpec extends SparkSpec {
     assert(got.keySet === expect.keySet)
     assert(got.size === n * (n - 1) / 2 * query.numWindows)
     got.foreach { case (k, c) => assert(math.abs(c - expect(k)) < 1e-9, s"at $k") }
+  }
+
+  test("every exact path is within 1e-9 of direct Pearson on data offset by 0, 1e4, 1e5 and 1e6") {
+    val steps = 128
+    val query = SlidingQuery(0L, steps.toLong, windowLen = 32, step = 8, beta = -1.0, bwSize = 8)
+    for (offset <- Seq(0.0, 1e4, 1e5, 1e6)) {
+      val m = SparkTestData.panel(67L, n, steps).map(_.map(_ + offset))
+      val sk = Sketch.build(SparkTestData.toValuesDf(spark, m), query).persist()
+      // At beta = -1 every pair-window is an edge, so each path reports them all.
+      def check(path: String, edges: Iterable[Edge]): Unit = {
+        val got = edges.map(e => (e.i, e.j, e.w) -> e.corr).toMap
+        assert(got.size === n * (n - 1) / 2 * query.numWindows, s"$path at offset $offset")
+        got.foreach { case ((i, j, w), c) =>
+          val err = math.abs(c - PairMath.directPearson(m(i), m(j), w * query.step, query.windowLen))
+          assert(err < 1e-9, s"$path at offset $offset: pair ($i, $j), window $w off by $err")
+        }
+      }
+      try {
+        check("Dangoron", Dangoron.edges(sk, query)._1.collect())
+        check("TSUBASA", Tsubasa.edges(sk, query)._1.collect())
+        check("horizontal pruning",
+          (0 until query.numWindows).flatMap(w => HorizontalPrune.edgesForWindow(sk, query, w, pivot = 0).edges))
+        val stream = new StreamingDangoron(spark, n, query)
+        for (t0 <- 0 until steps by 32)
+          stream.ingest(for (sid <- (0 until n).toArray; t <- (t0 until t0 + 32).toArray) yield (sid, t.toLong, m(sid)(t)))
+        check("StreamingDangoron", stream.edgesSoFar)
+      } finally sk.unpersist()
+    }
   }
 
   for (beta <- Seq(0.4, 0.7, 0.9)) {

@@ -23,7 +23,9 @@ object TestSeries {
     a
   }
 
-  /** Build the pair sketch of (x, y) at basic-window size b, locally. */
+  /** Build the pair sketch of (x, y) at basic-window size b, locally, with
+    * means centered as [[Sketch.build]] stores them.
+    */
   def sketchOf(x: Array[Double], y: Array[Double], b: Int, i: Int = 0, j: Int = 1): Pair = {
     require(x.length == y.length && x.length % b == 0, "length must be a multiple of b")
     val nBw = x.length / b
@@ -36,7 +38,7 @@ object TestSeries {
       meanX(t) = mx; m2x(t) = sx; meanY(t) = my; m2y(t) = sy
       cp(t) = (0 until b).map(u => (x(t * b + u) - mx) * (y(t * b + u) - my)).sum
     }
-    Pair(i, j, meanX, m2x, meanY, m2y, cp)
+    Pair(i, j, Sketch.centered(meanX), m2x, Sketch.centered(meanY), m2y, cp)
   }
 }
 
@@ -72,25 +74,25 @@ class PairMathSpec extends AnyFunSuite {
           PairMath.directPearson(x, y, from * b, nS * b)) < 1e-9)
     }
 
-  // --- Rolling sums ------------------------------------------------------
-  for (s <- Seq(1, 2, 3)) test(s"rolled sums equal rebuilt sums (s=$s)") {
-    val b = 4; val nS = 6; val len = b * 30
-    val x = series(11L, 0, len); val y = series(11L, 1, len)
-    val sk = sketchOf(x, y, b)
-    val sums = PairMath.buildSums(sk, 0, nS)
-    var from = 0
-    while (from + s + nS <= len / b) {
-      PairMath.roll(sums, sk, from, nS, s)
-      from += s
-      val fresh = PairMath.buildSums(sk, from, nS)
-      assert(math.abs(PairMath.corrFromSums(sums, nS, b) -
-        PairMath.corrFromSums(fresh, nS, b)) < 1e-9, s"at from=$from")
+  // --- Prefix sums: the O(1) form equals a fresh O(n_s) build ------------
+  for (s <- Seq(1, 3, 8)) test(s"prefix form equals buildSums then Eq. 1 at every window (s=$s)") {
+    val b = 4; val nS = 6
+    val pre = new PairMath.Prefix // one buffer for every case, as a task reuses it from pair to pair
+    // (seed, basic windows, random walk): longer and shorter pairs, stationary and not
+    for ((seed, nBw, walk) <- Seq((11L, 40, false), (12L, 24, false), (13L, 60, true), (14L, 12, true))) {
+      val gen: (Long, Int, Int) => Array[Double] = if (walk) randomWalk else series(_, _, _)
+      val sk = sketchOf(gen(seed, 0, b * nBw), gen(seed, 1, b * nBw), b)
+      pre.fill(sk, b)
+      for (from <- 0 to nBw - nS by s) {
+        val fresh = PairMath.corrFromSums(PairMath.buildSums(sk, from, nS, b), nS, b)
+        assert(math.abs(pre.corr(from, nS, b) - fresh) < 1e-12, s"seed=$seed, from=$from")
+      }
     }
   }
 
   test("corrFromSums matches windowCorr") {
     val sk = sketchOf(series(7L, 0, 64), series(7L, 1, 64), 4)
-    val sums = PairMath.buildSums(sk, 3, 5)
+    val sums = PairMath.buildSums(sk, 3, 5, 4)
     assert(PairMath.corrFromSums(sums, 5, 4) === PairMath.windowCorr(sk, 3, 5, 4))
   }
 
@@ -100,7 +102,7 @@ class PairMathSpec extends AnyFunSuite {
     val y = series(9L, 1, 32)
     val sk = sketchOf(x, y, 4)
     assert(PairMath.windowCorr(sk, 0, 8, 4) === 0.0)
-    assert(PairMath.directPearson(x, y) === 0.0)
+    assert(PairMath.directPearson(x, y, 0, x.length) === 0.0)
   }
 
   test("perfectly correlated series gives exactly 1") {
@@ -108,13 +110,13 @@ class PairMathSpec extends AnyFunSuite {
     val y = x.map(v => 2.5 * v + 3.0)
     val sk = sketchOf(x, y, 8)
     assert(math.abs(PairMath.windowCorr(sk, 0, 8, 8) - 1.0) < 1e-12)
-    assert(math.abs(PairMath.directPearson(x, y) - 1.0) < 1e-12)
+    assert(math.abs(PairMath.directPearson(x, y, 0, x.length) - 1.0) < 1e-12)
   }
 
   test("perfectly anti-correlated series gives exactly -1") {
     val x = series(10L, 0, 64)
     val y = x.map(v => -1.5 * v + 1.0)
-    assert(math.abs(PairMath.directPearson(x, y) + 1.0) < 1e-12)
+    assert(math.abs(PairMath.directPearson(x, y, 0, x.length) + 1.0) < 1e-12)
     val sk = sketchOf(x, y, 8)
     assert(math.abs(PairMath.windowCorr(sk, 0, 8, 8) + 1.0) < 1e-12)
   }

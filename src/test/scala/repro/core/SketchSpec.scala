@@ -130,9 +130,11 @@ class SketchSpec extends SparkSpec {
     rows.foreach { s =>
       assert(s.vals === matrix(s.sid))
       assert(s.mean.length === q.nBw && s.m2.length === q.nBw)
+      val seriesMean = matrix(s.sid).sum / len // the sketch stores means less this
       for (bw <- 0 until q.nBw) {
         val (mean, m2) = Sketch.meanM2(matrix(s.sid).slice(bw * q.bwSize, (bw + 1) * q.bwSize))
         assert(math.abs(s.mean(bw) - mean) < 1e-9)
+        assert(math.abs(Sketch.centered(s.mean)(bw) - (mean - seriesMean)) < 1e-9)
         assert(math.abs(s.m2(bw) - m2) < 1e-9)
       }
     }
@@ -141,18 +143,20 @@ class SketchSpec extends SparkSpec {
   test("tile series stats agree with the DuckDB oracle (group-by mean)") {
     import org.apache.spark.sql.functions._
     import spark.implicits._
+    // The sketch stores each basic window's mean less the series' mean over the query range.
     val sparkDf = SparkTestData.seriesRows(values, q)
-      .flatMap(s => s.mean.indices.map(bw => (s.sid, bw, (s.vals.length / s.mean.length).toLong, s.mean(bw))))
+      .flatMap(s => s.mean.indices.map(bw => (s.sid, bw, (s.vals.length / s.mean.length).toLong, Sketch.centered(s.mean)(bw))))
       .toDF("sid", "bw", "cnt", "mean")
       .select(col("sid"), col("bw"), col("cnt"), round(col("mean"), 4).as("m"))
     // NB: DuckDB's / on integers is float division; // is integer division.
     val sql =
-      s"""SELECT CAST(sid AS INT) AS sid,
-         |       CAST(CAST(t AS BIGINT) // ${q.bwSize} AS INT) AS bw,
-         |       count(*) AS cnt,
-         |       round(avg(CAST(v AS DOUBLE)), 4) AS m
-         |FROM ts
-         |GROUP BY 1, 2""".stripMargin
+      s"""SELECT sid, bw, cnt, round(m - avg(m) OVER (PARTITION BY sid), 4) AS m
+         |FROM (SELECT CAST(sid AS INT) AS sid,
+         |             CAST(CAST(t AS BIGINT) // ${q.bwSize} AS INT) AS bw,
+         |             count(*) AS cnt,
+         |             avg(CAST(v AS DOUBLE)) AS m
+         |      FROM ts
+         |      GROUP BY 1, 2)""".stripMargin
     Oracle.assertEquivalent(sparkDf, sql, "ts" -> values)
   }
 
@@ -205,7 +209,8 @@ class SketchSpec extends SparkSpec {
           for (tile <- ts; row <- rows) {
             assert(row.sid.toSeq === tile.series.map(_.sid).toSeq)
             assert(row.sid.distinct.length === row.sid.length)
-            for ((s, x) <- tile.series.zipWithIndex) assert(row.mean(x) === s.mean && row.m2(x) === s.m2, s"sid=${s.sid}")
+            for ((s, x) <- tile.series.zipWithIndex)
+              assert(row.mean(x) === Sketch.centered(s.mean) && row.m2(x) === s.m2, s"sid=${s.sid}")
             assert(row.pairs.map(p => (p.i, p.j)).toSeq === tilePairs)
             for ((p, k) <- row.pairs.zipWithIndex) // a view shares the row's arrays
               assert((p.meanX eq row.mean(row.x(k))) && (p.m2y eq row.m2(row.y(k))) && (p.cp eq row.cp(k)))

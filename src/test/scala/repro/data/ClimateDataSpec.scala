@@ -35,7 +35,7 @@ class ClimateDataSpec extends SparkSpec {
   }
 
   test("same-region pairs are more correlated than cross-region pairs") {
-    def corr(i: Int, j: Int) = PairMath.directPearson(matrix(i), matrix(j))
+    def corr(i: Int, j: Int) = PairMath.directPearson(matrix(i), matrix(j), 0, matrix(i).length)
     val same = for {
       i <- matrix.indices; j <- (i + 1) until matrix.length
       if spec.regionOf(i) == spec.regionOf(j)
@@ -54,7 +54,7 @@ class ClimateDataSpec extends SparkSpec {
     val same = for {
       i <- matrix.indices; j <- (i + 1) until matrix.length
       if spec.regionOf(i) == spec.regionOf(j)
-    } yield PairMath.directPearson(matrix(i), matrix(j))
+    } yield PairMath.directPearson(matrix(i), matrix(j), 0, matrix(i).length)
     assert(same.sum / same.size > 0.5)
   }
 
@@ -71,7 +71,7 @@ class ClimateDataSpec extends SparkSpec {
     val base = x.drop(24).zip(x.dropRight(24))
     val a = base.map(_._1).toArray
     val b = base.map(_._2).toArray
-    assert(PairMath.directPearson(a, b) > 0.3)
+    assert(PairMath.directPearson(a, b, 0, a.length) > 0.3)
   }
 
   test("regionOf partitions stations contiguously") {

@@ -1,5 +1,6 @@
 package repro.naive
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, SparkTestData}
 import repro.core._
@@ -27,6 +28,29 @@ class NaiveCorrSpec extends SparkSpec {
        |          AND CAST(a.t AS BIGINT) <  CAST(w.we AS BIGINT)
        |GROUP BY 1, 2, 3""".stripMargin
 
+  /** NaiveCorr's computation expressed in Spark SQL (Catalyst ``corr``
+    * aggregate over a window join) — used to cross-check against the
+    * DuckDB oracle with an identically-shaped SQL query. Output columns:
+    * ``w, i, j, r`` with ``r`` rounded to 4 decimals (double summation
+    * order differs across engines).
+    */
+  private def edgesSql(values: DataFrame, q: SlidingQuery): DataFrame = {
+    val spark = values.sparkSession
+    import spark.implicits._
+    val wins = (0 until q.numWindows)
+      .map(w => (w, q.windowStartT(w), q.windowStartT(w) + q.windowLen))
+      .toDF("w", "ws", "we")
+    val a = values.select(col("sid").cast("int").as("sid"), col("t").cast("long").as("t"),
+                          col("v").cast("double").as("v")).alias("a")
+    val b = values.select(col("sid").cast("int").as("sid"), col("t").cast("long").as("t"),
+                          col("v").cast("double").as("v")).alias("b")
+    a.join(b, col("a.t") === col("b.t") && col("a.sid") < col("b.sid"))
+      .join(wins, col("a.t") >= col("ws") && col("a.t") < col("we"))
+      .groupBy(col("w"), col("a.sid").as("i"), col("b.sid").as("j"))
+      .agg(round(corr(col("a.v"), col("b.v")), 4).as("r"))
+      .select("w", "i", "j", "r")
+  }
+
   private def winDf(q: SlidingQuery) = {
     import spark.implicits._
     (0 until q.numWindows)
@@ -35,13 +59,13 @@ class NaiveCorrSpec extends SparkSpec {
   }
 
   test("edgesSql (Catalyst corr) matches the DuckDB oracle") {
-    Oracle.assertEquivalent(NaiveCorr.edgesSql(values, q), duckSql(q),
+    Oracle.assertEquivalent(edgesSql(values, q), duckSql(q),
       "ts" -> values, "win" -> winDf(q))
   }
 
   test("edgesSql matches DuckDB with overlapping windows (step < windowLen/2)") {
     val q2 = SlidingQuery(0L, len.toLong, windowLen = 32, step = 8, beta = 0.0, bwSize = 8)
-    Oracle.assertEquivalent(NaiveCorr.edgesSql(values, q2), duckSql(q2),
+    Oracle.assertEquivalent(edgesSql(values, q2), duckSql(q2),
       "ts" -> values, "win" -> winDf(q2))
   }
 
@@ -50,7 +74,7 @@ class NaiveCorrSpec extends SparkSpec {
     val viaArrays = NaiveCorr.allCorrs(SparkTestData.tiles(values, q), q)
       .map(e => (e.w, e.i, e.j, BigDecimal(e.corr).setScale(4, BigDecimal.RoundingMode.HALF_UP).toDouble))
       .toDF("w", "i", "j", "r")
-    val viaSql = NaiveCorr.edgesSql(values, q)
+    val viaSql = edgesSql(values, q)
     val a = viaArrays.collect().map(r => (r.getInt(0), r.getInt(1), r.getInt(2)) -> r.getDouble(3)).toMap
     val b = viaSql.collect().map(r => (r.getInt(0), r.getInt(1), r.getInt(2)) -> r.getDouble(3)).toMap
     assert(a.keySet === b.keySet)

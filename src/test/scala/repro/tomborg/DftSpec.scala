@@ -8,6 +8,29 @@ class DftSpec extends AnyFunSuite {
   private def randArr(seed: Long, n: Int): Array[Double] =
     Array.tabulate(n)(t => DetRandom.gaussian(seed, 0L, t.toLong))
 
+  /** Naive O(n²) DFT (same conventions as [[Dft.fftInPlace]]). */
+  private def naiveDft(re: Array[Double], im: Array[Double], inverse: Boolean): (Array[Double], Array[Double]) = {
+    val n = re.length
+    val outR = new Array[Double](n); val outI = new Array[Double](n)
+    val sign = if (inverse) 2.0 else -2.0
+    var k = 0
+    while (k < n) {
+      var sR = 0.0; var sI = 0.0
+      var t = 0
+      while (t < n) {
+        val ang = sign * math.Pi * k * t / n
+        val c = math.cos(ang); val s = math.sin(ang)
+        sR += re(t) * c - im(t) * s
+        sI += re(t) * s + im(t) * c
+        t += 1
+      }
+      outR(k) = if (inverse) sR / n else sR
+      outI(k) = if (inverse) sI / n else sI
+      k += 1
+    }
+    (outR, outI)
+  }
+
   private def assertClose(a: Array[Double], b: Array[Double], tol: Double = 1e-9): Unit = {
     assert(a.length === b.length)
     a.indices.foreach(i => assert(math.abs(a(i) - b(i)) < tol, s"index $i: ${a(i)} vs ${b(i)}"))
@@ -17,7 +40,7 @@ class DftSpec extends AnyFunSuite {
   for (n <- Seq(2, 4, 8, 16, 32, 64, 128); inverse <- Seq(false, true))
     test(s"fft equals naive DFT (n=$n, inverse=$inverse)") {
       val re = randArr(n.toLong, n); val im = randArr(n + 1000L, n)
-      val (expR, expI) = Dft.naiveDft(re, im, inverse)
+      val (expR, expI) = naiveDft(re, im, inverse)
       val gr = re.clone(); val gi = im.clone()
       Dft.fftInPlace(gr, gi, inverse)
       assertClose(gr, expR, 1e-8)

@@ -18,7 +18,7 @@ class TomborgGeneratorSpec extends AnyFunSuite {
       val sameCluster = for {
         i <- 0 until spec.n; j <- (i + 1) until spec.n
         if spec.clusterOf(i) == spec.clusterOf(j)
-      } yield PairMath.directPearson(m(i), m(j))
+      } yield PairMath.directPearson(m(i), m(j), 0, m(i).length)
       assert(sameCluster.nonEmpty)
       val avg = sameCluster.sum / sameCluster.size
       assert(math.abs(avg - rho) < 0.1, s"avg within-cluster corr $avg, target $rho")
@@ -35,7 +35,7 @@ class TomborgGeneratorSpec extends AnyFunSuite {
       val cross = for {
         i <- 0 until spec.n; j <- (i + 1) until spec.n
         if spec.clusterOf(i) != spec.clusterOf(j)
-      } yield PairMath.directPearson(m(i), m(j))
+      } yield PairMath.directPearson(m(i), m(j), 0, m(i).length)
       val avg = cross.map(math.abs).sum / cross.size
       assert(avg < tol, s"avg |cross-cluster corr| $avg should be near 0 (tol $tol)")
     }
