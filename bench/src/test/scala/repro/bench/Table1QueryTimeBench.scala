@@ -7,23 +7,17 @@ import repro.exp.Experiments
   *
   * Paper claim: "Dangoron is an order of magnitude faster than TSUBASA in
   * terms of pure query time" on the NCEI USCRN hourly 2020 data.
-  * Workload: N stations × one year hourly, 30-day windows sliding daily,
-  * daily basic windows (336 sliding windows). Scale via BENCH_N / BENCH_HOURS.
+  * Workload: [[Experiments.Table1]], N stations × two years hourly, 60-day
+  * windows sliding 12 hours at 12-hour basic windows (1,341 sliding
+  * windows). Scale via BENCH_N / BENCH_HOURS.
   */
 class Table1QueryTimeBench extends SparkSpec {
 
   test("Table 1: pure query time, Dangoron vs TSUBASA vs naive") {
-    val n = sys.env.getOrElse("BENCH_N", "200").toInt
-    val hours = sys.env.getOrElse("BENCH_HOURS", "17520").toInt
-    val bw = sys.env.getOrElse("BENCH_BW", "12").toInt
-    val wlen = sys.env.getOrElse("BENCH_WLEN", "1440").toInt
-    val step = sys.env.getOrElse("BENCH_STEP", "12").toInt
-    val (values, _) = Experiments.climateWorkload(spark, n, hours, beta = 0.7)
-    // Deeper query than the unit-scale default: 60-day windows sliding
-    // 12 hours over 2 years at 12-hour basic windows — per-pair work large
-    // enough that the sweep, not Spark task overhead, dominates wall-clock.
-    val q = repro.core.SlidingQuery(0L, hours.toLong, windowLen = wlen,
-      step = step, beta = 0.7, bwSize = bw)
+    val w = Experiments.Table1
+    val n = sys.env.get("BENCH_N").fold(w.n)(_.toInt)
+    val hours = sys.env.get("BENCH_HOURS").fold(w.len)(_.toInt)
+    val (values, q) = Experiments.climateWorkload(spark, w.copy(n = n, len = hours), beta = 0.7)
     val rows = Experiments.table1(spark, values, q,
       betas = Seq(0.5, 0.7, 0.9), runNaive = sys.env.get("BENCH_NAIVE").contains("1"))
     println(Experiments.printT1(rows))

@@ -7,15 +7,16 @@ import repro.exp.Experiments
   *
   * Paper claim: Dangoron "achieves an accuracy above 90 percent,
   * comparable to Parcorr". Truth is the naive exact sweep (itself
-  * oracle-checked against DuckDB in the unit suite). N is smaller than
-  * Table 1 because the exact truth is O(N²·γ·l).
+  * oracle-checked against DuckDB in the unit suite). Workload:
+  * [[Experiments.Table2]].
   */
 class Table2AccuracyBench extends SparkSpec {
 
   test("Table 2: pair-window accuracy vs exact") {
-    val n = sys.env.getOrElse("BENCH_ACC_N", "40").toInt
-    val hours = sys.env.getOrElse("BENCH_ACC_HOURS", "4368").toInt
-    val (values, q) = Experiments.climateWorkload(spark, n, hours, beta = 0.7)
+    val w = Experiments.Table2
+    val n = sys.env.get("BENCH_ACC_N").fold(w.n)(_.toInt)
+    val hours = sys.env.get("BENCH_ACC_HOURS").fold(w.len)(_.toInt)
+    val (values, q) = Experiments.climateWorkload(spark, w.copy(n = n, len = hours), beta = 0.7)
     val rows = Experiments.table2(spark, values, q, betas = Seq(0.5, 0.7, 0.9))
     println(Experiments.printT2(rows))
     rows.filter(_.framework == "Dangoron").foreach { r =>

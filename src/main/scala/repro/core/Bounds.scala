@@ -22,31 +22,21 @@ package repro.core
   */
 object Bounds {
 
-  /** Prefix sums ``P(t) = Σ_{u<t} (1 − c_u)`` over all local basic windows;
-    * zero-variance basic windows use the conservative ``c = −1``.
-    * ``P`` has length ``nBw + 1``.
-    */
-  def upperPrefix(sk: Pair): Array[Double] = {
-    val p = new Array[Double](sk.nBw + 1)
-    var t = 0
-    while (t < sk.nBw) { p(t + 1) = p(t) + (1.0 - PairMath.bwCorr(sk, t)); t += 1 }
-    p
-  }
-
   /** Eq. 2 upper bound on ``Corr_{w+k}`` given the exact ``corrW`` at window
     * ``w``. ``inStart`` is the local index of the first basic window that
     * enters after window ``w`` (i.e. ``w·s + n_s``); skipping ``k`` windows
-    * ingests ``k·s`` basic windows.
+    * ingests ``k·s`` basic windows, whose ``Σ (1 − c_t)`` the pair's
+    * ``prefix`` holds.
     */
-  def upperBound(corrW: Double, prefix: Array[Double], inStart: Int, k: Int, s: Int, nS: Int): Double =
-    corrW + (prefix(inStart + k * s) - prefix(inStart)) / nS
+  def upperBound(corrW: Double, prefix: PairMath.Prefix, inStart: Int, k: Int, s: Int, nS: Int): Double =
+    corrW + (prefix.upper(inStart + k * s) - prefix.upper(inStart)) / nS
 
   /** Largest ``k ∈ [0, kMax]`` such that every window ``w+1 .. w+k`` is
     * upper-bounded below ``beta`` (all skippable). Returns 0 when not even
     * the next window can be skipped. Monotonicity of the bound makes the
     * predicate monotone, so binary search is exact.
     */
-  def maxJump(corrW: Double, beta: Double, prefix: Array[Double],
+  def maxJump(corrW: Double, beta: Double, prefix: PairMath.Prefix,
               inStart: Int, s: Int, nS: Int, kMax: Int): Int = {
     if (kMax <= 0) return 0
     if (upperBound(corrW, prefix, inStart, 1, s, nS) >= beta) return 0

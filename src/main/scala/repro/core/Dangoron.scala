@@ -20,15 +20,26 @@ final case class RunStats(computedWindows: Long, skippedWindows: Long) {
 object Dangoron {
 
   /** Edges (corr ≥ β) plus a stats thunk (read it after an action). */
-  def edges(sketches: Dataset[PairSketch], q: SlidingQuery): (Dataset[Edge], () => RunStats) = {
+  def edges(sketches: Dataset[PairSketch], q: SlidingQuery): (Dataset[Edge], () => RunStats) =
+    sweepEdges(sketches, q, "dangoron") { () =>
+      val pre = new PairMath.Prefix // one prefix buffer per sketch row, reused by its pairs
+      p => Sweep.dangoron(p, q, pre)
+    }
+
+  /** Both engines on Spark: a narrow ``flatMap`` sweeping each pair of a sketch row with the
+    * row's ``sweep()``, counting the work in the accumulators ``<name>.computedWindows`` and
+    * ``<name>.skippedWindows``.
+    */
+  private[repro] def sweepEdges(sketches: Dataset[PairSketch], q: SlidingQuery, name: String)(
+      sweep: () => Pair => SweepResult): (Dataset[Edge], () => RunStats) = {
     val spark = sketches.sparkSession
     import spark.implicits._
-    val computed = spark.sparkContext.longAccumulator("dangoron.computedWindows")
-    val skipped = spark.sparkContext.longAccumulator("dangoron.skippedWindows")
+    val computed = spark.sparkContext.longAccumulator(s"$name.computedWindows")
+    val skipped = spark.sparkContext.longAccumulator(s"$name.skippedWindows")
     val ds = sketches.flatMap { row =>
-      val pre = new PairMath.Prefix // one prefix buffer per sketch row, reused by its pairs
-      row.pairs.flatMap { p =>
-        val r = Sweep.dangoron(p, q, pre)
+      val pairSweep = sweep()
+      row.pairs(q).flatMap { p =>
+        val r = pairSweep(p)
         computed.add(r.computed); skipped.add(r.skipped)
         r.edges.map { case (w, c) => Edge(p.i, p.j, w, c) }
       }

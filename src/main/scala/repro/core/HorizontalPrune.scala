@@ -17,17 +17,18 @@ object HorizontalPrune {
   final case class WindowResult(edges: Vector[Edge], prunedPairs: Long, computedPairs: Long)
 
   /** Exact correlations of every series to the pivot at window ``w``,
-    * computed in the tasks; only ``(sid, corr)`` reaches the driver.
+    * computed in the tasks; only ``(sid, corr)`` reaches the driver. A window
+    * outside ``q`` fails on the driver, a sketch that does not cover ``q``
+    * ([[PairSketch.pairs]]) in the tasks.
     */
   def pivotCorrs(sketches: Dataset[PairSketch], q: SlidingQuery, w: Int, pivot: Int): Map[Int, Double] = {
+    require(0 <= w && w < q.numWindows, s"window $w outside [0, ${q.numWindows})")
     val spark = sketches.sparkSession
     import spark.implicits._
-    val from = q.windowOffsetBw(w)
-    val nS = q.nS; val b = q.bwSize
     sketches
-      .flatMap(_.pairs.collect {
+      .flatMap(_.pairs(q).collect {
         case p if p.i == pivot || p.j == pivot =>
-          (if (p.i == pivot) p.j else p.i) -> PairMath.windowCorr(p, from, nS, b)
+          (if (p.i == pivot) p.j else p.i) -> PairMath.windowCorr(p, q.windowOffsetBw(w), q.nS, q.bwSize)
       })
       .collect()
       .toMap
@@ -36,25 +37,24 @@ object HorizontalPrune {
   /** Edges of window ``w`` computed with triangle pruning against ``pivot``.
     * Pairs touching the pivot are always kept, their corr read from the
     * pivot table; other pairs are evaluated only if their triangle upper
-    * bound reaches β.
+    * bound reaches β. ``w`` and ``q`` are checked as in [[pivotCorrs]].
     */
   def edgesForWindow(sketches: Dataset[PairSketch], q: SlidingQuery, w: Int, pivot: Int): WindowResult = {
     val spark = sketches.sparkSession
     val bc = spark.sparkContext.broadcast(pivotCorrs(sketches, q, w, pivot))
     val pruned = spark.sparkContext.longAccumulator("horizontal.prunedPairs")
     val computedAcc = spark.sparkContext.longAccumulator("horizontal.computedPairs")
-    val from = q.windowOffsetBw(w)
-    val nS = q.nS; val b = q.bwSize; val beta = q.beta
     import spark.implicits._
     val edges = sketches
-      .flatMap(_.pairs.flatMap { p =>
+      .flatMap(_.pairs(q).flatMap { p =>
         val m = bc.value // no key for the pivot: a pivot pair, or one with no pivot corr, is kept
-        val keep = !(m.contains(p.i) && m.contains(p.j)) || Bounds.triangle(m(p.i), m(p.j))._2 >= beta
+        val keep = !(m.contains(p.i) && m.contains(p.j)) || Bounds.triangle(m(p.i), m(p.j))._2 >= q.beta
         if (!keep) { pruned.add(1); None }
         else {
           computedAcc.add(1)
-          val c = if (p.i == pivot) m(p.j) else if (p.j == pivot) m(p.i) else PairMath.windowCorr(p, from, nS, b)
-          if (c >= beta) Some(Edge(p.i, p.j, w, c)) else None
+          val c = if (p.i == pivot) m(p.j) else if (p.j == pivot) m(p.i)
+            else PairMath.windowCorr(p, q.windowOffsetBw(w), q.nS, q.bwSize)
+          if (c >= q.beta) Some(Edge(p.i, p.j, w, c)) else None
         }
       })
       .collect()

@@ -41,8 +41,9 @@ object PairMath {
   }
 
   /** One pair's prefix sums in a buffer reused from pair to pair: [[fill]]
-    * loads them in one pass, entry ``5t + k`` holding term ``k`` of the sums
-    * over basic windows ``[0, t)``; [[corr]] is Eq. 1 for the window over
+    * loads them in one pass, entry ``6t + k`` holding, over basic windows
+    * ``[0, t)``, term ``k < 5`` of Eq. 1's sums and, at ``k = 5``, Eq. 2's
+    * ``Σ (1 − c_u)`` ([[upper]]); [[corr]] is Eq. 1 for the window over
     * ``[from, from + nS)`` from two lookups per term, O(1) for any slide.
     */
   final class Prefix {
@@ -50,19 +51,24 @@ object PairMath {
     private val ws = new WindowSums
 
     def fill(sk: Pair, b: Int): Prefix = {
-      if (p.length < 5 * (sk.nBw + 1)) p = new Array[Double](5 * (sk.nBw + 1))
+      if (p.length < 6 * (sk.nBw + 1)) p = new Array[Double](6 * (sk.nBw + 1))
       val run = new WindowSums
+      var up = 0.0
       var t = 0
       while (t < sk.nBw) {
-        run.addBw(sk, t, b); t += 1
-        val at = 5 * t
+        run.addBw(sk, t, b); up += 1.0 - bwCorr(sk, t); t += 1
+        val at = 6 * t
         p(at) = run.sMuX; p(at + 1) = run.sMuY; p(at + 2) = run.sXX; p(at + 3) = run.sYY; p(at + 4) = run.sXY
+        p(at + 5) = up
       }
       this
     }
 
+    /** Eq. 2's ``Σ_{u<t} (1 − c_u)``; zero-variance basic windows count ``c = −1``. */
+    def upper(t: Int): Double = p(6 * t + 5)
+
     def corr(from: Int, nS: Int, b: Int): Double = {
-      val hi = 5 * (from + nS); val lo = 5 * from
+      val hi = 6 * (from + nS); val lo = 6 * from
       ws.sMuX = p(hi) - p(lo); ws.sMuY = p(hi + 1) - p(lo + 1)
       ws.sXX = p(hi + 2) - p(lo + 2); ws.sYY = p(hi + 3) - p(lo + 3); ws.sXY = p(hi + 4) - p(lo + 4)
       corrFromSums(ws, nS, b)

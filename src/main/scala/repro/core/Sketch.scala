@@ -115,8 +115,8 @@ object Sketch {
     tiles.flatMap { tile =>
       val s = tile.series
       val (x, y) = tile.pairIndices.toArray.unzip
-      Option.when(x.nonEmpty)(PairSketch(s.map(_.sid), s.map(r => centered(r.mean)), s.map(_.m2), x, y,
-        x.indices.map(p => crossProducts(s(x(p)), s(y(p)), b)).toArray))
+      Option.when(x.nonEmpty)(PairSketch(q.start, b, s.map(_.sid), s.map(r => centered(r.mean)), s.map(_.m2),
+        x, y, x.indices.map(p => crossProducts(s(x(p)), s(y(p)), b)).toArray))
     }
   }
 

@@ -21,13 +21,13 @@ object Sweep {
     * exactly; if the pair is below β, binary-search the Eq. 2 prefix-sum
     * bound for the furthest window that is still provably (under the
     * paper's assumption) below β, skip straight past it, and re-evaluate at
-    * the landing window. Each evaluated window is O(1), two lookups per term
-    * in the pair's Eq. 1 prefix sums, built in one pass into ``pre``.
+    * the landing window. Each evaluated window and each bound is O(1), two
+    * lookups per term in the pair's Eq. 1 and Eq. 2 prefix sums, built in one
+    * pass into ``pre``.
     */
   def dangoron(sk: Pair, q: SlidingQuery, pre: PairMath.Prefix = new PairMath.Prefix): SweepResult = {
     val out = new ArrayBuffer[(Int, Double)]
     var computed, skipped = 0L
-    val bound = Bounds.upperPrefix(sk)
     val sums = pre.fill(sk, q.bwSize)
     var w = 0
     while (w < q.numWindows) {
@@ -35,7 +35,7 @@ object Sweep {
       computed += 1
       val k =
         if (corr >= q.beta) { out += ((w, corr)); 0 }
-        else Bounds.maxJump(corr, q.beta, bound, q.windowOffsetBw(w) + q.nS, q.s, q.nS, q.numWindows - 1 - w)
+        else Bounds.maxJump(corr, q.beta, sums, q.windowOffsetBw(w) + q.nS, q.s, q.nS, q.numWindows - 1 - w)
       skipped += k
       w += k + 1
     }

@@ -65,14 +65,22 @@ final case class Pair(i: Int, j: Int, meanX: Array[Double], m2x: Array[Double],
   * state stored once: series ``s`` of the tile has sid ``sid(s)`` and
   * basic-window ``mean(s)``/``m2(s)``; pair ``p`` joins series ``x(p)`` and
   * ``y(p)`` (lower sid first, in [[Tile.pairs]] order) with cross products
-  * ``cp(p)``.
+  * ``cp(p)``. The basic windows are ``bwSize`` steps each from step ``start``.
   */
-final case class PairSketch(sid: Array[Int], mean: Array[Array[Double]], m2: Array[Array[Double]],
-                            x: Array[Int], y: Array[Int], cp: Array[Array[Double]]) {
-  /** Each pair's view, lazily, sharing the row's arrays. */
-  def pairs: Iterator[Pair] = cp.indices.iterator.map { p =>
-    val (a, b) = (x(p), y(p))
-    Pair(sid(a), sid(b), mean(a), m2(a), mean(b), m2(b), cp(p))
+final case class PairSketch(start: Long, bwSize: Int, sid: Array[Int], mean: Array[Array[Double]],
+                            m2: Array[Array[Double]], x: Array[Int], y: Array[Int], cp: Array[Array[Double]]) {
+  /** Each pair's view for query ``q``, lazily, sharing the row's arrays. A
+    * query whose basic windows do not start the sketch's fails with an
+    * IllegalArgumentException naming both ranges.
+    */
+  def pairs(q: SlidingQuery): Iterator[Pair] = {
+    val end = start + mean(0).length.toLong * bwSize
+    require(q.start == start && q.bwSize == bwSize && q.end <= end, s"query range [${q.start}, ${q.end}) " +
+      s"at bwSize ${q.bwSize} is not a prefix of the sketch's [$start, $end) at bwSize $bwSize")
+    cp.indices.iterator.map { p =>
+      val (a, b) = (x(p), y(p))
+      Pair(sid(a), sid(b), mean(a), m2(a), mean(b), m2(b), cp(p))
+    }
   }
 }
 

@@ -50,18 +50,32 @@ object Experiments {
     (s"\n=== $title ===" +: line(header) +: sep +: rows.map(line)).mkString("\n")
   }
 
-  /** The paper's evaluation workload: NCEI-USCRN-like hourly climate data,
-    * 30-day windows sliding one day at daily basic windows.
+  /** One table's workload, read by its job and its bench suite: ``n`` series of ``len``
+    * steps, windows of ``windowLen`` steps sliding ``step`` over basic windows of ``bwSize``.
     */
-  def climateWorkload(spark: SparkSession, n: Int, hours: Int, beta: Double): (DataFrame, SlidingQuery) = {
+  final case class Workload(n: Int, len: Int, windowLen: Int, step: Int, bwSize: Int) {
+    def query(beta: Double): SlidingQuery = SlidingQuery(0L, len.toLong, windowLen, step, beta, bwSize)
+  }
+
+  /** Tomborg series of ``len`` (a power of two) steps, windows of ``len/8`` sliding ``len/64``. */
+  def tomborg(n: Int, len: Int): Workload = Workload(n, len, windowLen = len / 8, step = len / 64, bwSize = len / 64)
+
+  // Hourly climate: Table 1 slides 60-day windows 12 hours over 2 years, so that per-pair work,
+  // not Spark task overhead, dominates; Tables 2 and 4 slide 30-day windows one day at a time.
+  val Table1: Workload = Workload(200, 17520, windowLen = 1440, step = 12, bwSize = 12)
+  val Table2: Workload = Workload(40, 4368, windowLen = 720, step = 24, bwSize = 24)
+  val Table3: Workload = tomborg(40, 4096)
+  val Table4: Workload = Table2.copy(n = 100, len = 8760)
+
+  /** The paper's evaluation data for ``w``, NCEI-USCRN-like hourly climate readings, and its query at ``beta``. */
+  def climateWorkload(spark: SparkSession, w: Workload, beta: Double): (DataFrame, SlidingQuery) = {
     // Regions scale with the station count (~10 stations per region), as in
     // real station networks: the thresholded network is a sparse union of
     // regional cliques, the regime the paper's pruning targets.
-    val nRegions = math.max(1, math.min(n, math.max(8, n / 10)))
+    val nRegions = math.max(1, math.min(w.n, math.max(8, w.n / 10)))
     val values = ClimateData.hourly(spark,
-      ClimateData.Spec(nStations = n, hours = hours, nRegions = nRegions))
-    val q = SlidingQuery(start = 0L, end = hours.toLong, windowLen = 720, step = 24, beta = beta, bwSize = 24)
-    (values, q)
+      ClimateData.Spec(nStations = w.n, hours = w.len, nRegions = nRegions))
+    (values, w.query(beta))
   }
 
   // ------------------------------------------------------------------ T1
@@ -153,12 +167,12 @@ object Experiments {
                          accuracy: Double, f1: Double)
 
   /** Table 3 — robustness across Tomborg spectral distributions. */
-  def table3(spark: SparkSession, n: Int, len: Int, beta: Double,
+  def table3(spark: SparkSession, w: Workload, beta: Double,
              spectra: Seq[(String, Spectrum)]): Seq[T3Row] = {
     spectra.flatMap { case (name, spec) =>
-      val tspec = TomborgSpec(n = n, len = len, clusters = 8, rho = 0.8, spectrum = spec)
-      val q = SlidingQuery(0L, len.toLong, windowLen = len / 8, step = len / 64, beta = beta, bwSize = len / 64)
-      val nPairs = n.toLong * (n - 1) / 2
+      val tspec = TomborgSpec(n = w.n, len = w.len, clusters = 8, rho = 0.8, spectrum = spec)
+      val q = w.query(beta)
+      val nPairs = w.n.toLong * (w.n - 1) / 2
       val total = nPairs * q.numWindows
       val values = Tomborg.generate(spark, tspec)
       val tiles = Sketch.pairStats(Sketch.segments(values, q)).persist(StorageLevel.MEMORY_AND_DISK)
@@ -220,7 +234,7 @@ object Experiments {
         f"${r.skippedFrac * 100}%.1f", r.horizPrunedPairs.toString, r.horizComputedPairs.toString)))
 
   /** The Tomborg spectra used by Table 3. */
-  def defaultSpectra(len: Int): Seq[(String, Spectrum)] = Seq(
+  val defaultSpectra: Seq[(String, Spectrum)] = Seq(
     ("white", White),
     ("1/f^1.5", PowerLaw(1.5)),
     ("band[2,16]", Band(2, 16)))

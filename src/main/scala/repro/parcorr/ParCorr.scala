@@ -35,28 +35,18 @@ object ParCorr {
     val ones = new Array[Double](d) // projection of the all-ones vector
     var sum = 0.0
     var sumSq = 0.0
-    def add(t: Int): Unit = {
+    def update(t: Int, sign: Double): Unit = { // sign +1 adds step t, −1 removes it; ±1.0 products are exact
       val v = vals(t)
-      sum += v; sumSq += v * v
+      sum += sign * v; sumSq += sign * (v * v)
       var dim = 0
       while (dim < d) {
         val r = DetRandom.rademacher(seed, dim.toLong, q.start + t)
-        sk(dim) += v * r; ones(dim) += r
-        dim += 1
-      }
-    }
-    def remove(t: Int): Unit = {
-      val v = vals(t)
-      sum -= v; sumSq -= v * v
-      var dim = 0
-      while (dim < d) {
-        val r = DetRandom.rademacher(seed, dim.toLong, q.start + t)
-        sk(dim) -= v * r; ones(dim) -= r
+        sk(dim) += sign * (v * r); ones(dim) += sign * r
         dim += 1
       }
     }
     var t = 0
-    while (t < l) { add(t); t += 1 }
+    while (t < l) { update(t, 1.0); t += 1 }
     val out = Vector.newBuilder[WindowSketch]
     var w = 0
     while (w < q.numWindows) {
@@ -66,9 +56,9 @@ object ParCorr {
       out += WindowSketch(sid, w, centered, mean, math.sqrt(varr))
       if (w + 1 < q.numWindows) {
         var u = w * q.step
-        while (u < (w + 1) * q.step) { remove(u); u += 1 }
+        while (u < (w + 1) * q.step) { update(u, -1.0); u += 1 }
         u = w * q.step + l
-        while (u < (w + 1) * q.step + l) { add(u); u += 1 }
+        while (u < (w + 1) * q.step + l) { update(u, 1.0); u += 1 }
       }
       w += 1
     }

@@ -115,10 +115,6 @@ object Tomborg {
       .toDF("sid", "t", "v")
   }
 
-  /** Population correlation the generator targets for a pair. */
-  def targetCorr(spec: TomborgSpec, i: Int, j: Int): Double =
-    if (spec.clusterOf(i) == spec.clusterOf(j)) spec.rho else 0.0
-
   /** Z-normalize in place (returns the same array). Constant series are
     * left centered at 0.
     */

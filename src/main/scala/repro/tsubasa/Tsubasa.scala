@@ -1,6 +1,6 @@
 package repro.tsubasa
 
-import org.apache.spark.sql.{DataFrame, Dataset}
+import org.apache.spark.sql.Dataset
 import repro.core._
 
 /** TSUBASA baseline (Xu, Liu, Nargesian, SIGMOD '22), reimplemented from
@@ -17,19 +17,6 @@ import repro.core._
 object Tsubasa {
 
   /** Sliding query: every window evaluated, entries < β dropped. */
-  def edges(sketches: Dataset[PairSketch], q: SlidingQuery): (Dataset[Edge], () => RunStats) = {
-    val spark = sketches.sparkSession
-    import spark.implicits._
-    val computed = spark.sparkContext.longAccumulator("tsubasa.computedWindows")
-    val ds = sketches.flatMap(_.pairs.flatMap { p =>
-      val r = Sweep.tsubasa(p, q)
-      computed.add(r.computed)
-      r.edges.map { case (w, c) => Edge(p.i, p.j, w, c) }
-    })
-    (ds, () => RunStats(computed.value, 0L))
-  }
-
-  /** Convenience: raw values → sketches → edges. */
-  def run(values: DataFrame, q: SlidingQuery): (Dataset[Edge], () => RunStats) =
-    edges(Sketch.build(values, q), q)
+  def edges(sketches: Dataset[PairSketch], q: SlidingQuery): (Dataset[Edge], () => RunStats) =
+    Dangoron.sweepEdges(sketches, q, "tsubasa")(() => Sweep.tsubasa(_, q))
 }

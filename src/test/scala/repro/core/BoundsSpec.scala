@@ -48,27 +48,29 @@ class BoundsSpec extends AnyFunSuite with PropSupport {
     })
   }
 
-  // --- Eq. 2 prefix sums ---------------------------------------------------
-  test("upperPrefix is non-decreasing (1 - c >= 0 always)") {
+  // --- Eq. 2 prefix sums, held in the pair's Prefix ------------------------
+  private def prefixOf(sk: Pair, b: Int) = new PairMath.Prefix().fill(sk, b)
+
+  test("Eq. 2 prefix starts at 0 and is non-decreasing (1 - c >= 0 always)") {
     val sk = sketchOf(series(5L, 0, 128), series(5L, 1, 128), 8)
-    val p = Bounds.upperPrefix(sk)
-    assert(p(0) === 0.0)
-    for (t <- 1 until p.length) assert(p(t) >= p(t - 1) - 1e-12)
+    val p = prefixOf(sk, 8)
+    assert(p.upper(0) === 0.0)
+    for (t <- 1 to sk.nBw) assert(p.upper(t) >= p.upper(t - 1) - 1e-12)
   }
 
-  test("upperPrefix uses conservative c = -1 on zero-variance basic windows") {
+  test("Eq. 2 prefix uses conservative c = -1 on zero-variance basic windows") {
     val x = Array.fill(16)(3.0) ++ series(7L, 0, 16)
     val y = series(7L, 1, 32)
     val sk = sketchOf(x, y, 8)
-    val p = Bounds.upperPrefix(sk)
+    val p = prefixOf(sk, 8)
     // first two basic windows of x are constant: increment = 1 - (-1) = 2
-    assert(math.abs((p(1) - p(0)) - 2.0) < 1e-12)
-    assert(math.abs((p(2) - p(1)) - 2.0) < 1e-12)
+    assert(math.abs((p.upper(1) - p.upper(0)) - 2.0) < 1e-12)
+    assert(math.abs((p.upper(2) - p.upper(1)) - 2.0) < 1e-12)
   }
 
   test("upperBound raises relative to corrW") {
     val sk = sketchOf(series(8L, 0, 128), series(8L, 1, 128), 8)
-    val up = Bounds.upperPrefix(sk)
+    val up = prefixOf(sk, 8)
     val corrW = 0.3
     assert(Bounds.upperBound(corrW, up, 4, 2, 1, 4) > corrW)
   }
@@ -79,7 +81,7 @@ class BoundsSpec extends AnyFunSuite with PropSupport {
       val b = 4; val nS = 5; val s = 1
       val len = b * 40
       val sk = sketchOf(series(seed, 0, len, noise = 1.5), series(seed, 1, len, noise = 1.5), b)
-      val prefix = Bounds.upperPrefix(sk)
+      val prefix = prefixOf(sk, b)
       val nBw = len / b
       val numWindows = (nBw - nS) / s + 1
       (0 until numWindows - 1).forall { w =>
@@ -102,7 +104,7 @@ class BoundsSpec extends AnyFunSuite with PropSupport {
 
   test("maxJump agrees with bound at the boundary") {
     val sk = sketchOf(series(1L, 0, 64), series(1L, 1, 64), 4)
-    val prefix = Bounds.upperPrefix(sk)
+    val prefix = prefixOf(sk, 4)
     val got = Bounds.maxJump(0.699, 0.7, prefix, 8, 1, 8, 5)
     val ub1 = Bounds.upperBound(0.699, prefix, 8, 1, 1, 8)
     if (ub1 >= 0.7) assert(got === 0) else assert(got >= 1)
@@ -110,19 +112,19 @@ class BoundsSpec extends AnyFunSuite with PropSupport {
 
   test("maxJump never exceeds kMax") {
     val sk = sketchOf(series(2L, 0, 256), series(2L, 1, 256), 4)
-    val prefix = Bounds.upperPrefix(sk)
+    val prefix = prefixOf(sk, 4)
     for (kMax <- Seq(0, 1, 3, 7))
       assert(Bounds.maxJump(-1.0, 0.99, prefix, 8, 1, 8, kMax) <= kMax)
   }
 
   test("maxJump with kMax = 0 is 0") {
     val sk = sketchOf(series(3L, 0, 64), series(3L, 1, 64), 4)
-    assert(Bounds.maxJump(-0.9, 0.9, Bounds.upperPrefix(sk), 8, 1, 8, 0) === 0)
+    assert(Bounds.maxJump(-0.9, 0.9, prefixOf(sk, 4), 8, 1, 8, 0) === 0)
   }
 
   test("maxJump with step s > 1 consumes s basic windows per skip") {
     val sk = sketchOf(series(4L, 0, 256), series(4L, 1, 256), 4)
-    val prefix = Bounds.upperPrefix(sk)
+    val prefix = prefixOf(sk, 4)
     val nS = 8; val s = 2
     val k = Bounds.maxJump(-0.99, 0.9, prefix, nS, s, nS, 10)
     // verify directly against the bound definition
@@ -143,7 +145,7 @@ class BoundsSpec extends AnyFunSuite with PropSupport {
       val x = series(seed * 2L + 100, 0, len, amp = 0.2, noise = 1.0)
       val y = series(seed * 2L + 101, 1, len, amp = 0.2, noise = 1.0)
       val sk = sketchOf(x, y, b)
-      val prefix = Bounds.upperPrefix(sk)
+      val prefix = prefixOf(sk, b)
       val nBw = len / b
       val numWindows = (nBw - nS) / s + 1
       val beta = 0.5

@@ -1,5 +1,7 @@
 package repro.core
 
+import org.apache.spark.sql.Dataset
+
 import repro.{SparkSpec, SparkTestData}
 import repro.naive.NaiveCorr
 import repro.streaming.StreamingCorrelation.StreamingDangoron
@@ -117,7 +119,7 @@ class DangoronSparkSpec extends SparkSpec {
     val sketches = Sketch.build(values, query)
     for (w <- Seq(0, 3, 7)) {
       val pruned = HorizontalPrune.edgesForWindow(sketches, query, w, pivot = 0)
-      val full = sketches.collect().flatMap(_.pairs).flatMap { p =>
+      val full = sketches.collect().flatMap(_.pairs(query)).flatMap { p =>
         val c = PairMath.windowCorr(p, query.windowOffsetBw(w), query.nS, query.bwSize)
         if (c >= query.beta) Some(Edge(p.i, p.j, w, c)) else None
       }.toSet
@@ -143,6 +145,57 @@ class DangoronSparkSpec extends SparkSpec {
       val direct = PairMath.directPearson(matrix(i), matrix(j), 0, query.windowLen)
       assert(math.abs(c - direct) < 1e-9)
     }
+  }
+
+  test("horizontal pruning rejects a window outside the query before any job runs") {
+    val query = q(0.7)
+    val sketches = Sketch.build(values, query)
+    for (w <- Seq(-1, query.numWindows)) {
+      intercept[IllegalArgumentException](HorizontalPrune.edgesForWindow(sketches, query, w, pivot = 0))
+      intercept[IllegalArgumentException](HorizontalPrune.pivotCorrs(sketches, query, w, pivot = 0))
+    }
+  }
+
+  // --- A sketch answers only the queries it was built for ----------------------
+  /** Every path that reads ``sk`` under ``query``, as a thunk returning its edges. */
+  private def paths(sk: Dataset[PairSketch], query: SlidingQuery): Seq[(String, () => Set[Edge])] =
+    Seq(
+      "Dangoron" -> (() => Dangoron.edges(sk, query)._1.collect().toSet),
+      "TSUBASA" -> (() => Tsubasa.edges(sk, query)._1.collect().toSet),
+      "edgesForWindow" -> (() => HorizontalPrune.edgesForWindow(sk, query, 0, pivot = 0).edges.toSet),
+      "pivotCorrs" -> (() => HorizontalPrune.pivotCorrs(sk, query, 0, pivot = 0).map { case (o, c) => Edge(0, o, 0, c) }.toSet))
+
+  test("a sketch rejects a query with another start or bwSize, or an end past its range") {
+    val built = q(0.7)
+    val sk = Sketch.build(SparkTestData.toValuesDf(spark, SparkTestData.panel(95L, n, len)), built).persist()
+    try {
+      for ((what, query) <- Seq(
+             "shifted start" -> built.copy(start = built.start + built.step),
+             "bwSize 16" -> built.copy(step = 16, bwSize = 16),
+             "end past the sketch" -> built.copy(end = built.end + built.bwSize));
+           (path, run) <- paths(sk, query)) {
+        val e = intercept[Exception](run())
+        val causes = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null).toSeq
+        assert(causes.exists(c => c.isInstanceOf[IllegalArgumentException] && c.getMessage.contains("sketch's [0, 192)")),
+          s"$path, $what: $e")
+      }
+    } finally sk.unpersist()
+  }
+
+  test("a sketch answers a query with a smaller end, another step, windowLen or beta") {
+    val built = q(0.7)
+    val values95 = SparkTestData.toValuesDf(spark, SparkTestData.panel(95L, n, len))
+    val sk = Sketch.build(values95, built).persist()
+    try {
+      for (query <- Seq(built.copy(end = 160), built.copy(step = 16), built.copy(windowLen = 32), built.copy(beta = 0.9))) {
+        val own = Sketch.build(values95, query).persist()
+        try paths(sk, query).zip(paths(own, query)).foreach { case ((path, got), (_, expect)) =>
+          val (g, x) = (got().map(e => (e.i, e.j, e.w) -> e.corr).toMap, expect().map(e => (e.i, e.j, e.w) -> e.corr).toMap)
+          assert(g.keySet === x.keySet, s"$path, $query")
+          g.foreach { case (k, c) => assert(math.abs(c - x(k)) < 1e-12, s"$path, $query at $k") }
+        } finally own.unpersist()
+      }
+    } finally sk.unpersist()
   }
 
   test("streams of different lengths per window count: step > bwSize") {

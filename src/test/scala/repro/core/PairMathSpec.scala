@@ -90,6 +90,19 @@ class PairMathSpec extends AnyFunSuite {
     }
   }
 
+  test("prefix Eq. 2 sums equal the running sum of 1 - bwCorr bit for bit, in a reused buffer") {
+    val pre = new PairMath.Prefix
+    for ((seed, nBw) <- Seq((21L, 40), (22L, 12))) { // the shorter pair reuses the longer one's buffer
+      val sk = sketchOf(series(seed, 0, 4 * nBw), series(seed, 1, 4 * nBw), 4)
+      pre.fill(sk, 4)
+      var up = 0.0
+      for (t <- 0 to nBw) {
+        assert(pre.upper(t) === up, s"seed=$seed, t=$t")
+        if (t < nBw) up += 1.0 - PairMath.bwCorr(sk, t)
+      }
+    }
+  }
+
   test("corrFromSums matches windowCorr") {
     val sk = sketchOf(series(7L, 0, 64), series(7L, 1, 64), 4)
     val sums = PairMath.buildSums(sk, 3, 5, 4)

@@ -19,7 +19,7 @@ class SketchSpec extends SparkSpec {
   private def blocks = Sketch.blockCount(spark.sparkContext.defaultParallelism)
 
   /** Every pair view of the sketch rows ``build`` gives. */
-  private def builtPairs(in: DataFrame, qq: SlidingQuery): Array[Pair] = Sketch.build(in, qq).collect().flatMap(_.pairs)
+  private def builtPairs(in: DataFrame, qq: SlidingQuery): Array[Pair] = Sketch.build(in, qq).collect().flatMap(_.pairs(qq))
 
   /** Every array of ``got`` equals the local builder's, bit for bit. */
   private def assertBitIdentical(got: Pair, m: Array[Array[Double]], qq: SlidingQuery): Unit = {
@@ -211,8 +211,8 @@ class SketchSpec extends SparkSpec {
             assert(row.sid.distinct.length === row.sid.length)
             for ((s, x) <- tile.series.zipWithIndex)
               assert(row.mean(x) === Sketch.centered(s.mean) && row.m2(x) === s.m2, s"sid=${s.sid}")
-            assert(row.pairs.map(p => (p.i, p.j)).toSeq === tilePairs)
-            for ((p, k) <- row.pairs.zipWithIndex) // a view shares the row's arrays
+            assert(row.pairs(q16).map(p => (p.i, p.j)).toSeq === tilePairs)
+            for ((p, k) <- row.pairs(q16).zipWithIndex) // a view shares the row's arrays
               assert((p.meanX eq row.mean(row.x(k))) && (p.m2y eq row.m2(row.y(k))) && (p.cp eq row.cp(k)))
           }
         }
@@ -229,8 +229,9 @@ class SketchSpec extends SparkSpec {
     val m = Array.tabulate(23)(sid => series(63L, sid, len))
     val k = blocks
     def tile(i: Int, j: Int) = (math.min(i % k, j % k), math.max(i % k, j % k))
-    val tilesPerPart = Sketch.build(SparkTestData.toValuesDf(spark, m), q).rdd
-      .mapPartitions(it => Iterator(it.flatMap(_.pairs).map(p => tile(p.i, p.j)).toSet))
+    val query = q // a local, so that the task closure does not capture the suite
+    val tilesPerPart = Sketch.build(SparkTestData.toValuesDf(spark, m), query).rdd
+      .mapPartitions(it => Iterator(it.flatMap(_.pairs(query)).map(p => tile(p.i, p.j)).toSet))
       .collect().filter(_.nonEmpty)
     assert(tilesPerPart.forall(_.size == 1))
     assert(tilesPerPart.length === (for (i <- 0 until 23; j <- i + 1 until 23) yield tile(i, j)).distinct.length)
@@ -292,6 +293,6 @@ class SketchSpec extends SparkSpec {
     val q2 = SlidingQuery(0L, 64L, 32, 16, 0.0, 16)
     val sks = Sketch.build(v2, q2).collect()
     assert(sks.length === 1)
-    assert(sks.head.pairs.map(p => (p.i, p.j)).toSeq === Seq((0, 1)))
+    assert(sks.head.pairs(q2).map(p => (p.i, p.j)).toSeq === Seq((0, 1)))
   }
 }

@@ -47,8 +47,8 @@ class ExperimentsSpec extends SparkSpec {
   }
 
   test("table3 harness: one row per framework per spectrum") {
-    val rows = Experiments.table3(spark, n = 8, len = 512, beta = 0.6,
-      spectra = Experiments.defaultSpectra(512).take(2))
+    val rows = Experiments.table3(spark, Experiments.tomborg(n = 8, len = 512), beta = 0.6,
+      spectra = Experiments.defaultSpectra.take(2))
     assert(rows.size === 6)
     assert(rows.map(_.framework).toSet === Set("Dangoron", "TSUBASA", "ParCorr"))
     rows.filter(_.framework != "ParCorr").foreach { r =>
@@ -76,7 +76,7 @@ class ExperimentsSpec extends SparkSpec {
   }
 
   test("climateWorkload builds an aligned query") {
-    val (v, query) = Experiments.climateWorkload(spark, n = 4, hours = 24 * 40, beta = 0.5)
+    val (v, query) = Experiments.climateWorkload(spark, Experiments.Table4.copy(n = 4, len = 24 * 40), beta = 0.5)
     assert(query.nS === 30 && query.s === 1)
     assert(v.count() === 4L * 24 * 40)
   }

@@ -17,7 +17,7 @@ class TsubasaSpec extends SparkSpec {
   for (beta <- Seq(-1.0, 0.0, 0.5, 0.8))
     test(s"TSUBASA equals naive exactly at beta=$beta (it is an exact method)") {
       val query = q(beta)
-      val (edges, _) = Tsubasa.run(values, query)
+      val (edges, _) = Tsubasa.edges(Sketch.build(values, query), query)
       val got = edges.collect().map(e => (e.i, e.j, e.w) -> e.corr).toMap
       val expect = NaiveCorr.allCorrs(SparkTestData.tiles(values, query), query).collect()
         .filter(_.corr >= beta).map(e => (e.i, e.j, e.w) -> e.corr).toMap
@@ -27,7 +27,7 @@ class TsubasaSpec extends SparkSpec {
 
   test("TSUBASA computes every pair-window (no skipping)") {
     val query = q(0.9)
-    val (edges, stats) = Tsubasa.run(values, query)
+    val (edges, stats) = Tsubasa.edges(Sketch.build(values, query), query)
     edges.count()
     val st = stats()
     assert(st.computedWindows === n.toLong * (n - 1) / 2 * query.numWindows)
@@ -48,7 +48,7 @@ class TsubasaSpec extends SparkSpec {
 
   test("TSUBASA with multi-bw step") {
     val query = q(-1.0, step = 16)
-    val (edges, _) = Tsubasa.run(values, query)
+    val (edges, _) = Tsubasa.edges(Sketch.build(values, query), query)
     assert(edges.count() === n.toLong * (n - 1) / 2 * query.numWindows)
   }
 }
