@@ -3,23 +3,20 @@ package repro.bench
 import repro.SparkSpec
 import repro.exp.Experiments
 
-/** Table 1 — pure query time: Dangoron vs TSUBASA (+ naive at reduced N).
+/** Table 1 — pure query time: Dangoron vs TSUBASA.
   *
   * Paper claim: "Dangoron is an order of magnitude faster than TSUBASA in
   * terms of pure query time" on the NCEI USCRN hourly 2020 data.
   * Workload: [[Experiments.Table1]], N stations × two years hourly, 60-day
   * windows sliding 12 hours at 12-hour basic windows (1,341 sliding
-  * windows). Scale via BENCH_N / BENCH_HOURS.
+  * windows). The job `repro.jobs.Table1QueryTime` runs other scales and
+  * adds the naive row.
   */
 class Table1QueryTimeBench extends SparkSpec {
 
   test("Table 1: pure query time, Dangoron vs TSUBASA vs naive") {
-    val w = Experiments.Table1
-    val n = sys.env.get("BENCH_N").fold(w.n)(_.toInt)
-    val hours = sys.env.get("BENCH_HOURS").fold(w.len)(_.toInt)
-    val (values, q) = Experiments.climateWorkload(spark, w.copy(n = n, len = hours), beta = 0.7)
-    val rows = Experiments.table1(spark, values, q,
-      betas = Seq(0.5, 0.7, 0.9), runNaive = sys.env.get("BENCH_NAIVE").contains("1"))
+    val (values, q) = Experiments.climateWorkload(spark, Experiments.Table1, beta = 0.7)
+    val rows = Experiments.table1(spark, values, q, betas = Seq(0.5, 0.7, 0.9), runNaive = false)
     println(Experiments.printT1(rows))
     // Reproduction gates. The paper's headline is "an order of magnitude
     // faster in pure query time". The algorithmic quantity behind that —

@@ -13,10 +13,7 @@ import repro.exp.Experiments
 class Table2AccuracyBench extends SparkSpec {
 
   test("Table 2: pair-window accuracy vs exact") {
-    val w = Experiments.Table2
-    val n = sys.env.get("BENCH_ACC_N").fold(w.n)(_.toInt)
-    val hours = sys.env.get("BENCH_ACC_HOURS").fold(w.len)(_.toInt)
-    val (values, q) = Experiments.climateWorkload(spark, w.copy(n = n, len = hours), beta = 0.7)
+    val (values, q) = Experiments.climateWorkload(spark, Experiments.Table2, beta = 0.7)
     val rows = Experiments.table2(spark, values, q, betas = Seq(0.5, 0.7, 0.9))
     println(Experiments.printT2(rows))
     rows.filter(_.framework == "Dangoron").foreach { r =>

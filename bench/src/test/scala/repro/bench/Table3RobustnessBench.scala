@@ -13,9 +13,7 @@ import repro.exp.Experiments
 class Table3RobustnessBench extends SparkSpec {
 
   test("Table 3: time + accuracy across Tomborg spectra") {
-    val n = sys.env.get("BENCH_TOM_N").fold(Experiments.Table3.n)(_.toInt)
-    val len = sys.env.get("BENCH_TOM_LEN").fold(Experiments.Table3.len)(_.toInt)
-    val rows = Experiments.table3(spark, Experiments.tomborg(n, len), beta = 0.6, Experiments.defaultSpectra)
+    val rows = Experiments.table3(spark, Experiments.Table3, beta = 0.6, Experiments.defaultSpectra)
     println(Experiments.printT3(rows))
     assert(rows.map(_.spectrum).distinct.size === 3)
     rows.filter(_.framework == "TSUBASA").foreach { r =>

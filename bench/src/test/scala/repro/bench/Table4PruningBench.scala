@@ -10,10 +10,7 @@ import repro.exp.Experiments
 class Table4PruningBench extends SparkSpec {
 
   test("Table 4: Eq.2 skip fraction and horizontal pruning") {
-    val w = Experiments.Table4
-    val n = sys.env.get("BENCH_N").fold(w.n)(_.toInt)
-    val hours = sys.env.get("BENCH_HOURS").fold(w.len)(_.toInt)
-    val (values, q) = Experiments.climateWorkload(spark, w.copy(n = n, len = hours), beta = 0.7)
+    val (values, q) = Experiments.climateWorkload(spark, Experiments.Table4, beta = 0.7)
     val rows = Experiments.table4(spark, values, q, betas = Seq(0.5, 0.7, 0.9))
     println(Experiments.printT4(rows))
     // skip fraction must grow with beta and be substantial at high beta

@@ -23,9 +23,7 @@ object HorizontalPrune {
     */
   def pivotCorrs(sketches: Dataset[PairSketch], q: SlidingQuery, w: Int, pivot: Int): Map[Int, Double] = {
     require(0 <= w && w < q.numWindows, s"window $w outside [0, ${q.numWindows})")
-    val spark = sketches.sparkSession
-    import spark.implicits._
-    sketches
+    sketches.rdd
       .flatMap(_.pairs(q).collect {
         case p if p.i == pivot || p.j == pivot =>
           (if (p.i == pivot) p.j else p.i) -> PairMath.windowCorr(p, q.windowOffsetBw(w), q.nS, q.bwSize)
@@ -40,12 +38,11 @@ object HorizontalPrune {
     * bound reaches β. ``w`` and ``q`` are checked as in [[pivotCorrs]].
     */
   def edgesForWindow(sketches: Dataset[PairSketch], q: SlidingQuery, w: Int, pivot: Int): WindowResult = {
-    val spark = sketches.sparkSession
-    val bc = spark.sparkContext.broadcast(pivotCorrs(sketches, q, w, pivot))
-    val pruned = spark.sparkContext.longAccumulator("horizontal.prunedPairs")
-    val computedAcc = spark.sparkContext.longAccumulator("horizontal.computedPairs")
-    import spark.implicits._
-    val edges = sketches
+    val sc = sketches.sparkSession.sparkContext
+    val bc = sc.broadcast(pivotCorrs(sketches, q, w, pivot))
+    val pruned = sc.longAccumulator("horizontal.prunedPairs")
+    val computedAcc = sc.longAccumulator("horizontal.computedPairs")
+    val edges = sketches.rdd
       .flatMap(_.pairs(q).flatMap { p =>
         val m = bc.value // no key for the pivot: a pivot pair, or one with no pivot corr, is kept
         val keep = !(m.contains(p.i) && m.contains(p.j)) || Bounds.triangle(m(p.i), m(p.j))._2 >= q.beta

@@ -3,7 +3,8 @@ package repro.core
 import scala.collection.mutable
 
 import org.apache.spark.Partitioner
-import org.apache.spark.sql.{DataFrame, Dataset}
+import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 import org.apache.spark.sql.functions._
 
 /** The readings one input partition holds for series ``sid``: ``vals(r)`` is
@@ -49,7 +50,9 @@ final case class Tile(bi: Int, bj: Int, blockI: Array[SeriesRow], blockJ: Array[
   * block ``sid % k``, one tile per partition, where the spans of a series
   * merge into its row with its basic-window stats; [[pairSketches]] turns
   * each tile into one sketch row in a ``flatMap``. The tiles are the one pair
-  * grid: NaiveCorr and ParCorr read them too.
+  * grid: NaiveCorr and ParCorr read them too. Spans and tiles are RDDs, each
+  * stage handing its objects to the next: only the sketch rows, which
+  * queries cache, are encoded as a Dataset.
   */
 object Sketch {
 
@@ -58,20 +61,20 @@ object Sketch {
     Iterator.from(1).find(k => k * (k + 1) / 2 >= 3 * parallelism).get
 
   /** One span per (input partition, series), holding the readings that
-    * partition holds of the series; no shuffle. A NaN or infinite reading
-    * fails with an IllegalArgumentException naming sid and t.
+    * partition holds of the series; no shuffle. A null sid or value, or a NaN
+    * or infinite value, fails with an IllegalArgumentException naming sid and t.
     */
-  def segments(values: DataFrame, q: SlidingQuery): Dataset[Span] = {
-    val spark = values.sparkSession
-    import spark.implicits._
+  def segments(values: DataFrame, q: SlidingQuery): RDD[Span] = {
     val start = q.start; val end = q.end; val len = (end - start).toInt; val b = q.bwSize
     values
       .select(col("sid").cast("int"), col("t").cast("long"), col("v").cast("double"))
       .where(col("t") >= start && col("t") < end)
-      .as[(Int, Long, Double)]
+      .rdd
       .mapPartitions { rows =>
         val held = mutable.LongMap.empty[(mutable.ArrayBuilder.ofInt, mutable.ArrayBuilder.ofDouble)]
-        rows.foreach { case (sid, t, v) =>
+        rows.foreach { r =>
+          require(!r.anyNull, s"null reading at sid=${r.get(0)}, t=${r.get(1)}")
+          val (sid, t, v) = (r.getInt(0), r.getLong(1), r.getDouble(2))
           require(!v.isNaN && !v.isInfinite, s"non-finite value $v at sid=$sid, t=$t")
           val (us, vs) = held.getOrElseUpdate(sid, (new mutable.ArrayBuilder.ofInt, new mutable.ArrayBuilder.ofDouble))
           us += (t - start).toInt; vs += v
@@ -80,18 +83,16 @@ object Sketch {
       }
   }
 
-  /** One row per tile of the all-pairs grid, alone in its partition: the one
-    * shuffle of the build sends each span to the tiles of its block, and each
-    * tile merges the spans of its series. A reading held twice, in one span
-    * or in two, or a step of the query range held by none, fails with an
+  /** One tile of the all-pairs grid per partition: the one shuffle of the
+    * build sends each span to the tiles of its block, and each tile merges
+    * the spans of its series. A reading held twice, in one span or in two,
+    * or a step of the query range held by none, fails with an
     * IllegalArgumentException naming sid and t.
     */
-  def pairStats(spans: Dataset[Span]): Dataset[Tile] = {
-    val spark = spans.sparkSession
-    import spark.implicits._
-    val k = blockCount(spark.sparkContext.defaultParallelism)
+  def pairStats(spans: RDD[Span]): RDD[Tile] = {
+    val k = blockCount(spans.sparkContext.defaultParallelism)
     def block(sid: Int) = Math.floorMod(sid, k) // a block with no series leaves its tiles empty
-    val tiles = spans.rdd
+    spans
       .flatMap(s => (0 until k).map(o => (math.min(block(s.sid), o), math.max(block(s.sid), o)) -> s))
       .groupByKey(new Partitioner { // tile (bi, bj) alone in partition bj(bj+1)/2 + bi
         def numPartitions: Int = k * (k + 1) / 2
@@ -102,22 +103,21 @@ object Sketch {
         val (blockI, blockJ) = series.sortBy(_.sid).partition(s => block(s.sid) == bi)
         Tile(bi, bj, blockI, blockJ)
       }
-    spark.createDataset(tiles)
   }
 
   /** One sketch row per tile with a pair: its series' stats once, means
     * [[centered]], and the cross products of each of its pairs.
     */
-  def pairSketches(tiles: Dataset[Tile], q: SlidingQuery): Dataset[PairSketch] = {
-    val spark = tiles.sparkSession
+  def pairSketches(tiles: RDD[Tile], q: SlidingQuery): Dataset[PairSketch] = {
+    val spark = SparkSession.active
     import spark.implicits._
     val b = q.bwSize
-    tiles.flatMap { tile =>
+    spark.createDataset(tiles.flatMap { tile =>
       val s = tile.series
       val (x, y) = tile.pairIndices.toArray.unzip
       Option.when(x.nonEmpty)(PairSketch(q.start, b, s.map(_.sid), s.map(r => centered(r.mean)), s.map(_.m2),
         x, y, x.indices.map(p => crossProducts(s(x(p)), s(y(p)), b)).toArray))
-    }
+    })
   }
 
   /** Build the sketch rows straight from raw values. */

@@ -97,12 +97,11 @@ object Experiments {
     // Warm-up run (JIT, codegen, shuffle setup) — not timed.
     locally { val (ds, _) = Dangoron.edges(sketches, qBase); ds.count() }
     locally { val (ds, _) = Tsubasa.edges(sketches, qBase); ds.count() }
-    val reps = sys.env.getOrElse("BENCH_REPS", "3").toInt
     val rows = betas.flatMap { beta =>
       val q = qBase.copy(beta = beta)
-      val (tres, tsubasaSec) = timeBest(reps) { val (ds, st) = Tsubasa.edges(sketches, q); (ds.count(), st()) }
+      val (tres, tsubasaSec) = timeBest(3) { val (ds, st) = Tsubasa.edges(sketches, q); (ds.count(), st()) }
       val (tsubasaEdges, tSt) = tres
-      val (dres, dangoronSec) = timeBest(reps) { val (ds, st) = Dangoron.edges(sketches, q); (ds.count(), st()) }
+      val (dres, dangoronSec) = timeBest(3) { val (ds, st) = Dangoron.edges(sketches, q); (ds.count(), st()) }
       val (dangoronEdges, dSt) = dres
       val base = Seq(
         T1Row("TSUBASA", beta, tsubasaSec, tsubasaEdges, tSt.computedWindows, 0.0, 1.0, 1.0),

@@ -1,6 +1,7 @@
 package repro.naive
 
-import org.apache.spark.sql.Dataset
+import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.core._
 
 /** Exact brute-force baseline: direct Pearson over raw values for every
@@ -13,17 +14,15 @@ object NaiveCorr {
   /** All pair-window correlations (no thresholding) of every pair in the
     * tiles of ``Sketch.pairStats(Sketch.segments(values, q))``.
     */
-  def allCorrs(tiles: Dataset[Tile], q: SlidingQuery): Dataset[Edge] = {
-    val spark = tiles.sparkSession
+  def allCorrs(tiles: RDD[Tile], q: SlidingQuery): Dataset[Edge] = {
+    val spark = SparkSession.active
     import spark.implicits._
-    tiles.flatMap(_.pairs.flatMap { case (x, y) =>
+    spark.createDataset(tiles.flatMap(_.pairs.flatMap { case (x, y) =>
       Sweep.naive(x.vals, y.vals, q).map { case (w, c) => Edge(x.sid, y.sid, w, c) }
-    })
+    }))
   }
 
   /** Thresholded edges — same output contract as Dangoron/TSUBASA. */
-  def edges(tiles: Dataset[Tile], q: SlidingQuery): Dataset[Edge] = {
-    val beta = q.beta
-    allCorrs(tiles, q).filter(_.corr >= beta)
-  }
+  def edges(tiles: RDD[Tile], q: SlidingQuery): Dataset[Edge] =
+    allCorrs(tiles, q).filter(_.corr >= q.beta)
 }

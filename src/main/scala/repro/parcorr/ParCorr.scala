@@ -1,6 +1,7 @@
 package repro.parcorr
 
-import org.apache.spark.sql.Dataset
+import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.core.{Edge, PairMath, SlidingQuery, Tile}
 import repro.util.DetRandom
 
@@ -65,12 +66,12 @@ object ParCorr {
     out.result()
   }
 
-  /** Correlation estimate: cosine of the centered sketches. */
-  def estimate(a: WindowSketch, b: WindowSketch, d: Int, l: Int): Double = {
+  /** Correlation estimate: cosine of the centered sketches, both of one dimension. */
+  def estimate(a: WindowSketch, b: WindowSketch): Double = {
     if (a.std <= 1e-9 || b.std <= 1e-9) return 0.0
     var dot = 0.0; var na = 0.0; var nb = 0.0
     var dim = 0
-    while (dim < d) {
+    while (dim < a.sketch.length) {
       dot += a.sketch(dim) * b.sketch(dim)
       na += a.sketch(dim) * a.sketch(dim)
       nb += b.sketch(dim) * b.sketch(dim)
@@ -87,17 +88,16 @@ object ParCorr {
     * updates inside the task, then estimates every pair of the tile per
     * window and keeps those at or above β.
     */
-  def edges(tiles: Dataset[Tile], q: SlidingQuery, d: Int = 32, seed: Long = 1234): Dataset[Edge] = {
-    val spark = tiles.sparkSession
+  def edges(tiles: RDD[Tile], q: SlidingQuery, d: Int = 32, seed: Long = 1234): Dataset[Edge] = {
+    val spark = SparkSession.active
     import spark.implicits._
-    val l = q.windowLen; val beta = q.beta
-    tiles.flatMap { tile =>
+    spark.createDataset(tiles.flatMap { tile =>
       val windows = (tile.blockI ++ tile.blockJ).map(s => s.sid -> sketchSeries(s.sid, s.vals, q, d, seed)).toMap
       tile.pairs.flatMap { case (x, y) =>
         windows(x.sid).iterator.zip(windows(y.sid))
-          .map { case (a, b) => Edge(x.sid, y.sid, a.w, estimate(a, b, d, l)) }
-          .filter(_.corr >= beta)
+          .map { case (a, b) => Edge(x.sid, y.sid, a.w, estimate(a, b)) }
+          .filter(_.corr >= q.beta)
       }
-    }
+    })
   }
 }

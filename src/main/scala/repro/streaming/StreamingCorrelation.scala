@@ -20,8 +20,9 @@ object StreamingCorrelation {
     * most a window plus the readings of one micro-batch.
     *
     * Emission is incremental — window ``w``'s edges are produced once, in
-    * the first micro-batch whose frontier covers it — and exact: tests
-    * assert the union of emissions equals a batch run over the full range.
+    * the first micro-batch whose frontier covers it — and exact, but not
+    * batch Dangoron's: each batch restarts the sweep at its first new window,
+    * so with one window per batch it emits exactly the TSUBASA network.
     */
   final class StreamingDangoron(spark: SparkSession, nSeries: Int, q: SlidingQuery) {
     private val buffer: Array[mutable.ArrayBuffer[Double]] =

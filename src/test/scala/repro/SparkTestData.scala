@@ -1,6 +1,7 @@
 package repro
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.core.{SeriesRow, Sketch, SlidingQuery, Tile, TestSeries}
 
 /** Builders turning local matrices into the long-format (sid, t, v) input. */
@@ -16,15 +17,12 @@ object SparkTestData {
   }
 
   /** The tile grid NaiveCorr and ParCorr read, as the experiment harnesses build it. */
-  def tiles(values: DataFrame, q: SlidingQuery): Dataset[Tile] =
+  def tiles(values: DataFrame, q: SlidingQuery): RDD[Tile] =
     Sketch.pairStats(Sketch.segments(values, q))
 
   /** Each series' row with its basic-window stats, once: the diagonal tiles hold every block once. */
-  def seriesRows(values: DataFrame, q: SlidingQuery): Dataset[SeriesRow] = {
-    val spark = values.sparkSession
-    import spark.implicits._
+  def seriesRows(values: DataFrame, q: SlidingQuery): RDD[SeriesRow] =
     tiles(values, q).filter(t => t.bi == t.bj).flatMap(_.blockI)
-  }
 
   /** Small deterministic panel: first half of the series share one
     * sinusoid phase (a strongly correlated cluster, corr ≈ 0.9), second

@@ -40,7 +40,7 @@ class SketchSpec extends SparkSpec {
 
   /** Each input partition's spans, by partition (``segments`` is narrow). */
   private def spansByPartition(in: DataFrame, qq: SlidingQuery): Array[Array[Span]] =
-    Sketch.segments(in, qq).rdd.glom().collect()
+    Sketch.segments(in, qq).glom().collect()
 
   /** The spans of each series hold every step of ``qq`` once, with ``m``'s
     * value, and nothing else: their total size is the reading count.
@@ -163,7 +163,7 @@ class SketchSpec extends SparkSpec {
   test("pairStats: one tile per partition, each series in the tiles of its block") {
     val m = Array.tabulate(23)(sid => series(61L, sid, len))
     val k = blocks
-    val parts = Sketch.pairStats(Sketch.segments(SparkTestData.toValuesDf(spark, m), q)).rdd.glom().collect()
+    val parts = Sketch.pairStats(Sketch.segments(SparkTestData.toValuesDf(spark, m), q)).glom().collect()
     assert(parts.length === k * (k + 1) / 2)
     assert(parts.forall(_.length <= 1))
     val tiles = parts.flatten
@@ -202,7 +202,7 @@ class SketchSpec extends SparkSpec {
       val tiles = Sketch.pairStats(Sketch.segments(SparkTestData.toValuesDf(spark, m), q16)).persist()
       try {
         // pairSketches is a narrow flatMap: partition k of the rows comes from the tile in partition k.
-        val byPart = tiles.rdd.glom().collect().zip(Sketch.pairSketches(tiles, q16).rdd.glom().collect())
+        val byPart = tiles.glom().collect().zip(Sketch.pairSketches(tiles, q16).rdd.glom().collect())
         for ((ts, rows) <- byPart) {
           val tilePairs = ts.toSeq.flatMap(_.pairs.map { case (x, y) => (x.sid, y.sid) })
           assert(rows.length === (if (tilePairs.isEmpty) 0 else 1))
@@ -284,6 +284,15 @@ class SketchSpec extends SparkSpec {
       val v = when(col("sid") === 4 && col("t") === 70, lit(bad)).otherwise(col("v"))
       val ex = rejection(values.withColumn("v", v))
       assert(ex.getMessage.contains(s"non-finite value $bad at sid=4, t=70"), ex.getMessage)
+    }
+  }
+
+  test("segments reject a null sid or value, naming sid and t") {
+    import org.apache.spark.sql.functions._
+    for ((c, sid) <- Seq("v" -> "4", "sid" -> "null")) {
+      val nulled = when(col("sid") === 4 && col("t") === 70, lit(null)).otherwise(col(c))
+      val ex = rejection(values.withColumn(c, nulled))
+      assert(ex.getMessage.contains(s"null reading at sid=$sid, t=70"), ex.getMessage)
     }
   }
 

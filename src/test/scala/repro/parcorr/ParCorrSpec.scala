@@ -47,7 +47,7 @@ class ParCorrSpec extends SparkSpec {
     val sx = ParCorr.sketchSeries(0, x, query, 16, 7L)
     val sy = ParCorr.sketchSeries(1, y, query, 16, 7L)
     sx.zip(sy).foreach { case (a, b) =>
-      assert(math.abs(ParCorr.estimate(a, b, 16, query.windowLen) - 1.0) < 1e-6)
+      assert(math.abs(ParCorr.estimate(a, b) - 1.0) < 1e-6)
     }
   }
 
@@ -61,7 +61,7 @@ class ParCorrSpec extends SparkSpec {
         val sx = ParCorr.sketchSeries(i, matrix(i), query, d, 3L)
         val sy = ParCorr.sketchSeries(j, matrix(j), query, d, 3L)
         sx.zip(sy).map { case (a, b) =>
-          math.abs(ParCorr.estimate(a, b, d, query.windowLen) -
+          math.abs(ParCorr.estimate(a, b) -
             PairMath.directPearson(matrix(i), matrix(j), a.w * query.step, query.windowLen))
         }.sum / sx.size
       }
@@ -78,7 +78,7 @@ class ParCorrSpec extends SparkSpec {
     val sx = ParCorr.sketchSeries(0, matrix(0), query, 2, 11L)
     val sy = ParCorr.sketchSeries(1, matrix(1), query, 2, 11L)
     sx.zip(sy).foreach { case (a, b) =>
-      val e = ParCorr.estimate(a, b, 2, query.windowLen)
+      val e = ParCorr.estimate(a, b)
       assert(e >= -1.0 && e <= 1.0)
     }
   }
@@ -89,7 +89,7 @@ class ParCorrSpec extends SparkSpec {
     val s1 = ParCorr.sketchSeries(0, flat, query, 8, 1L)
     val s2 = ParCorr.sketchSeries(1, matrix(1), query, 8, 1L)
     s1.zip(s2).foreach { case (a, b) =>
-      assert(ParCorr.estimate(a, b, 8, query.windowLen) === 0.0)
+      assert(ParCorr.estimate(a, b) === 0.0)
     }
   }
 

@@ -1,7 +1,9 @@
 package repro.streaming
 
 import repro.{SparkSpec, SparkTestData}
-import repro.core.{Dangoron, SlidingQuery}
+import repro.core.{Dangoron, Edge, Sketch, SlidingQuery}
+import repro.data.ClimateData
+import repro.tsubasa.Tsubasa
 
 class StreamingSpec extends SparkSpec {
 
@@ -110,6 +112,36 @@ class StreamingSpec extends SparkSpec {
       .map(e => (e.i, e.j, e.w) -> e.corr).toMap
     assert(driver.edgesSoFar.map(e => (e.i, e.j, e.w)).toSet === batchMap.keySet)
     driver.edgesSoFar.foreach(e => assert(math.abs(e.corr - batchMap((e.i, e.j, e.w))) < 1e-9))
+  }
+
+  test("streamed edges are exact, and one window per batch streams the exact network where batch Dangoron misses") {
+    // Short windows over climate data: Eq. 2 jumps that a batch run takes over
+    // windows with edges, and that micro-batch boundaries cut short.
+    val (nC, wl, nw) = (8, 240, 20)
+    val hours = wl + 24 * (nw - 1)
+    val m = ClimateData.hourlyLocal(ClimateData.Spec(nStations = nC, hours = hours, nRegions = 2, seed = 11L))
+    val cq = SlidingQuery(0L, hours.toLong, windowLen = wl, step = 24, beta = 0.7, bwSize = 24)
+    val sk = Sketch.build(SparkTestData.toValuesDf(spark, m), cq).persist()
+    val exact = Tsubasa.edges(sk, cq)._1.collect().map(e => (e.i, e.j, e.w) -> e.corr).toMap
+    val batch = Dangoron.edges(sk, cq)._1.collect().map(e => (e.i, e.j, e.w)).toSet
+    sk.unpersist()
+    assert(batch.subsetOf(exact.keySet) && batch.size < exact.size, s"batch ${batch.size} of ${exact.size} exact edges")
+    /** The edges streamed by micro-batches ending at ``cuts``. */
+    def stream(cuts: Seq[Int]): Vector[Edge] = {
+      val driver = new StreamingCorrelation.StreamingDangoron(spark, nC, cq)
+      cuts.zip(0 +: cuts).foreach { case (hi, lo) =>
+        driver.ingest(for { sid <- (0 until nC).toArray; u <- (lo until hi).toArray } yield (sid, u.toLong, m(sid)(u)))
+      }
+      assert(driver.windowsEmitted === nw)
+      driver.edgesSoFar
+    }
+    for (e <- stream((100 until hours by 100) :+ hours)) {
+      assert(math.abs(e.corr - exact.getOrElse((e.i, e.j, e.w), Double.NaN)) < 1e-9, s"$e")
+      assert(e.corr >= cq.beta, s"$e")
+    }
+    val perWindow = stream(wl to hours by 24)
+    assert(perWindow.map(e => (e.i, e.j, e.w)).sorted === exact.keys.toSeq.sorted)
+    perWindow.foreach(e => assert(math.abs(e.corr - exact((e.i, e.j, e.w))) < 1e-9, s"$e"))
   }
 
   test("frontier waits for the slowest series") {
