@@ -1,5 +1,7 @@
 package repro.core
 
+import java.nio.{ByteBuffer, ByteOrder}
+
 import scala.collection.mutable
 
 import org.apache.spark.Partitioner
@@ -13,7 +15,33 @@ import org.apache.spark.sql.functions._
   * what a tile needs of the query: its ``start``, length ``len`` and
   * basic-window size ``bwSize``.
   */
-final case class Span(sid: Int, steps: Array[Int], vals: Array[Double], start: Long, len: Int, bwSize: Int)
+final case class Span(sid: Int, steps: Array[Int], vals: Array[Double], start: Long, len: Int, bwSize: Int) {
+  /** Java serialization writes a span as [[Span.Wire]]: Kryo reads the fields and never calls this. */
+  private def writeReplace(): AnyRef = {
+    val block = ByteBuffer.allocate(12 * steps.length).order(ByteOrder.LITTLE_ENDIAN)
+    block.asIntBuffer.put(steps)
+    block.position(4 * steps.length).asDoubleBuffer.put(vals) // the view starts at the position, in the buffer's order
+    new Span.Wire(sid, start, len, bwSize, block.array)
+  }
+}
+
+object Span {
+  /** A span under Java serialization: its steps, then its values, in one
+    * little-endian block of 12 bytes a reading, which the stream copies
+    * whole instead of element by element.
+    */
+  @SerialVersionUID(1L)
+  private final class Wire(sid: Int, start: Long, len: Int, bwSize: Int, block: Array[Byte]) extends Serializable {
+    private def readResolve(): AnyRef = {
+      val n = block.length / 12
+      val (steps, vals) = (new Array[Int](n), new Array[Double](n))
+      val buf = ByteBuffer.wrap(block).order(ByteOrder.LITTLE_ENDIAN)
+      buf.asIntBuffer.get(steps)
+      buf.position(4 * n).asDoubleBuffer.get(vals)
+      Span(sid, steps, vals, start, len, bwSize)
+    }
+  }
+}
 
 /** One series' values over the query range, with each basic window's mean and m2. */
 final case class SeriesRow(sid: Int, vals: Array[Double], mean: Array[Double], m2: Array[Double])
@@ -69,12 +97,13 @@ object Sketch {
     values
       .select(col("sid").cast("int"), col("t").cast("long"), col("v").cast("double"))
       .where(col("t") >= start && col("t") < end)
-      .rdd
+      .queryExecution.toRdd // the rows as Spark holds them: no Row, no boxing
       .mapPartitions { rows =>
         val held = mutable.LongMap.empty[(mutable.ArrayBuilder.ofInt, mutable.ArrayBuilder.ofDouble)]
-        rows.foreach { r =>
-          require(!r.anyNull, s"null reading at sid=${r.get(0)}, t=${r.get(1)}")
-          val (sid, t, v) = (r.getInt(0), r.getLong(1), r.getDouble(2))
+        rows.foreach { r => // t is never null past the range filter
+          require(!r.isNullAt(0) && !r.isNullAt(2),
+            s"null reading at sid=${if (r.isNullAt(0)) "null" else r.getInt(0)}, t=${r.getLong(1)}")
+          val sid = r.getInt(0); val t = r.getLong(1); val v = r.getDouble(2)
           require(!v.isNaN && !v.isInfinite, s"non-finite value $v at sid=$sid, t=$t")
           val (us, vs) = held.getOrElseUpdate(sid, (new mutable.ArrayBuilder.ofInt, new mutable.ArrayBuilder.ofDouble))
           us += (t - start).toInt; vs += v
@@ -127,16 +156,28 @@ object Sketch {
   /** Series ``sid`` from its spans: dense values over the query range and each basic window's stats. */
   private def merge(sid: Int, spans: Iterable[Span]): SeriesRow = {
     val Span(_, _, _, start, len, b) = spans.head
-    val vals = Array.fill(len)(Double.NaN) // NaN: no reading yet (NaN readings are rejected)
-    for (s <- spans; r <- s.steps.indices) {
-      val u = s.steps(r)
-      require(vals(u).isNaN, s"duplicate reading at sid=$sid, t=${start + u}")
-      vals(u) = s.vals(r)
+    val vals = new Array[Double](len)
+    java.util.Arrays.fill(vals, Double.NaN) // NaN: no reading yet (NaN readings are rejected)
+    for (s <- spans) {
+      var r = 0
+      while (r < s.steps.length) {
+        val u = s.steps(r)
+        require(vals(u).isNaN, s"duplicate reading at sid=$sid, t=${start + u}")
+        vals(u) = s.vals(r)
+        r += 1
+      }
     }
-    val hole = vals.indexWhere(_.isNaN)
-    require(hole < 0, s"missing reading at sid=$sid, t=${start + hole}")
-    val stats = Array.tabulate(len / b)(t => meanM2(vals.slice(t * b, (t + 1) * b)))
-    SeriesRow(sid, vals, stats.map(_._1), stats.map(_._2))
+    var hole = 0
+    while (hole < len && !vals(hole).isNaN) hole += 1
+    require(hole == len, s"missing reading at sid=$sid, t=${start + hole}")
+    val (mean, m2) = (new Array[Double](len / b), new Array[Double](len / b))
+    var t = 0
+    while (t < mean.length) {
+      val stats = meanM2(vals, t * b, (t + 1) * b)
+      mean(t) = stats._1; m2(t) = stats._2
+      t += 1
+    }
+    SeriesRow(sid, vals, mean, m2)
   }
 
   /** Basic-window means less the series' mean over the query range, alike in every tile: Eq. 1
@@ -145,24 +186,29 @@ object Sketch {
   def centered(mean: Array[Double]): Array[Double] = { val c = mean.sum / mean.length; mean.map(_ - c) }
 
   /** Per basic window ``t``, ``Σ (x − meanX(t))(y − meanY(t))`` in time order. */
-  private def crossProducts(x: SeriesRow, y: SeriesRow, b: Int): Array[Double] =
-    Array.tabulate(x.mean.length) { t =>
-      val (mx, my) = (x.mean(t), y.mean(t))
+  private def crossProducts(x: SeriesRow, y: SeriesRow, b: Int): Array[Double] = {
+    val cps = new Array[Double](x.mean.length)
+    var t = 0
+    while (t < cps.length) {
+      val mx = x.mean(t); val my = y.mean(t)
       var cp = 0.0
       var u = t * b
       while (u < (t + 1) * b) { cp += (x.vals(u) - mx) * (y.vals(u) - my); u += 1 }
-      cp
+      cps(t) = cp
+      t += 1
     }
+    cps
+  }
 
-  /** Mean and centered sum of squares in one pass. */
-  def meanM2(vals: Array[Double]): (Double, Double) = {
+  /** Mean and centered sum of squares of ``vals(from until until)``, summed in index order. */
+  def meanM2(vals: Array[Double], from: Int, until: Int): (Double, Double) = {
     var s = 0.0
-    var u = 0
-    while (u < vals.length) { s += vals(u); u += 1 }
-    val mean = s / vals.length
+    var u = from
+    while (u < until) { s += vals(u); u += 1 }
+    val mean = s / (until - from)
     var m2 = 0.0
-    u = 0
-    while (u < vals.length) { val d = vals(u) - mean; m2 += d * d; u += 1 }
+    u = from
+    while (u < until) { val d = vals(u) - mean; m2 += d * d; u += 1 }
     (mean, m2)
   }
 }

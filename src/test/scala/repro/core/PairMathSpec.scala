@@ -33,8 +33,8 @@ object TestSeries {
     val meanY = new Array[Double](nBw); val m2y = new Array[Double](nBw)
     val cp = new Array[Double](nBw)
     for (t <- 0 until nBw) {
-      val (mx, sx) = Sketch.meanM2(x.slice(t * b, (t + 1) * b))
-      val (my, sy) = Sketch.meanM2(y.slice(t * b, (t + 1) * b))
+      val (mx, sx) = Sketch.meanM2(x, t * b, (t + 1) * b)
+      val (my, sy) = Sketch.meanM2(y, t * b, (t + 1) * b)
       meanX(t) = mx; m2x(t) = sx; meanY(t) = my; m2y(t) = sy
       cp(t) = (0 until b).map(u => (x(t * b + u) - mx) * (y(t * b + u) - my)).sum
     }
@@ -162,7 +162,7 @@ class PairMathSpec extends AnyFunSuite {
   }
 
   test("meanM2 computes mean and centered sum of squares") {
-    val (mean, m2) = Sketch.meanM2(Array(1.0, 2.0, 3.0, 4.0))
+    val (mean, m2) = Sketch.meanM2(Array(0.0, 1.0, 2.0, 3.0, 4.0, 9.0), 1, 5)
     assert(mean === 2.5)
     assert(math.abs(m2 - 5.0) < 1e-12)
   }

@@ -1,5 +1,9 @@
 package repro.core
 
+import java.lang.Double.doubleToRawLongBits
+import java.nio.charset.StandardCharsets.ISO_8859_1
+
+import org.apache.spark.serializer.{JavaSerializer, KryoSerializer}
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions.col
 
@@ -79,7 +83,7 @@ class SketchSpec extends SparkSpec {
       assert(s.vals === matrix(s.sid))
       assert(s.mean.length === q.nBw && s.m2.length === q.nBw)
       for (t <- 0 until q.nBw) {
-        val (mean, m2) = Sketch.meanM2(matrix(s.sid).slice(t * q.bwSize, (t + 1) * q.bwSize))
+        val (mean, m2) = Sketch.meanM2(matrix(s.sid), t * q.bwSize, (t + 1) * q.bwSize)
         assert(s.mean(t) === mean && s.m2(t) === m2)
       }
     }
@@ -132,7 +136,7 @@ class SketchSpec extends SparkSpec {
       assert(s.mean.length === q.nBw && s.m2.length === q.nBw)
       val seriesMean = matrix(s.sid).sum / len // the sketch stores means less this
       for (bw <- 0 until q.nBw) {
-        val (mean, m2) = Sketch.meanM2(matrix(s.sid).slice(bw * q.bwSize, (bw + 1) * q.bwSize))
+        val (mean, m2) = Sketch.meanM2(matrix(s.sid), bw * q.bwSize, (bw + 1) * q.bwSize)
         assert(math.abs(s.mean(bw) - mean) < 1e-9)
         assert(math.abs(Sketch.centered(s.mean)(bw) - (mean - seriesMean)) < 1e-9)
         assert(math.abs(s.m2(bw) - m2) < 1e-9)
@@ -294,6 +298,36 @@ class SketchSpec extends SparkSpec {
       val ex = rejection(values.withColumn(c, nulled))
       assert(ex.getMessage.contains(s"null reading at sid=$sid, t=70"), ex.getMessage)
     }
+  }
+
+  test("a span with shuffled, non-contiguous steps survives Java and Kryo serialization bit for bit") {
+    val steps = Array(40, 3, 17, 0, 95, 8, 41)
+    val vals = Array(1.5, -0.0, Double.MinPositiveValue, -1e300, math.Pi, java.lang.Double.longBitsToDouble(0x7ff8000000000123L), 42.0)
+    val span = Span(7, steps, vals, 16L, 96, 8)
+    val conf = spark.sparkContext.getConf
+    for ((ser, proxied) <- Seq(new JavaSerializer(conf) -> true, new KryoSerializer(conf) -> false)) {
+      val inst = ser.newInstance()
+      val bytes = inst.serialize(span)
+      // Java serialization writes the one-block proxy; Kryo reads the fields and writes no proxy.
+      val wire = new String(bytes.array, bytes.arrayOffset + bytes.position, bytes.remaining, ISO_8859_1)
+      assert(wire.contains("Span$Wire") === proxied, ser.getClass.getSimpleName)
+      val back = inst.deserialize[Span](bytes)
+      assert((back.sid, back.start, back.len, back.bwSize) === ((7, 16L, 96, 8)))
+      assert(back.steps.toSeq === steps.toSeq)
+      assert(back.vals.map(doubleToRawLongBits).toSeq === vals.map(doubleToRawLongBits).toSeq)
+    }
+  }
+
+  test("build over sid as long and t as int gives bit-identical sketch rows") {
+    def bits(in: DataFrame) = Sketch.build(in, q16).collect().map { r =>
+      (r.start, r.bwSize, r.sid.toSeq, r.x.toSeq, r.y.toSeq,
+        Seq(r.mean, r.m2, r.cp).map(_.toSeq.map(_.toSeq.map(doubleToRawLongBits))))
+    }.toSeq
+    val recast = values.select(col("sid").cast("long").as("sid"), col("t").cast("int").as("t"), col("v"))
+    assert(recast.schema.map(_.dataType.typeName) === Seq("long", "integer", "double"))
+    val want = bits(values)
+    assert(want.nonEmpty)
+    assert(bits(recast) === want)
   }
 
   test("sketch build handles a single pair (n=2)") {

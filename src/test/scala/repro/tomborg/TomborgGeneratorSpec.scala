@@ -84,7 +84,7 @@ class TomborgGeneratorSpec extends AnyFunSuite {
   test("genSeries is z-normalized") {
     val spec = TomborgSpec(n = 1, len = 1024, clusters = 1, rho = 0.0, spectrum = White)
     val x = Tomborg.genSeries(spec, stream = 9L)
-    val (mean, m2) = repro.core.Sketch.meanM2(x)
+    val (mean, m2) = repro.core.Sketch.meanM2(x, 0, x.length)
     assert(math.abs(mean) < 1e-9)
     assert(math.abs(m2 / x.length - 1.0) < 1e-9)
   }
@@ -107,7 +107,7 @@ class TomborgGeneratorSpec extends AnyFunSuite {
   test("znorm centers and scales") {
     val x = Array(1.0, 2.0, 3.0, 4.0)
     val z = Tomborg.znorm(x.clone())
-    val (mean, m2) = repro.core.Sketch.meanM2(z)
+    val (mean, m2) = repro.core.Sketch.meanM2(z, 0, z.length)
     assert(math.abs(mean) < 1e-12)
     assert(math.abs(m2 / z.length - 1.0) < 1e-12)
   }
