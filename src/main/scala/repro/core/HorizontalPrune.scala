@@ -42,7 +42,7 @@ object HorizontalPrune {
     val bc = sc.broadcast(pivotCorrs(sketches, q, w, pivot))
     val pruned = sc.longAccumulator("horizontal.prunedPairs")
     val computedAcc = sc.longAccumulator("horizontal.computedPairs")
-    val edges = sketches.rdd
+    val edges = try sketches.rdd
       .flatMap(_.pairs(q).flatMap { p =>
         val m = bc.value // no key for the pivot: a pivot pair, or one with no pivot corr, is kept
         val keep = !(m.contains(p.i) && m.contains(p.j)) || Bounds.triangle(m(p.i), m(p.j))._2 >= q.beta
@@ -56,6 +56,7 @@ object HorizontalPrune {
       })
       .collect()
       .toVector
+    finally bc.destroy()
     WindowResult(edges, pruned.value, computedAcc.value)
   }
 }

@@ -6,7 +6,7 @@ import scala.collection.mutable
 
 import org.apache.spark.Partitioner
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.{DataFrame, Dataset, Encoders, SparkSession}
 import org.apache.spark.sql.functions._
 
 /** The readings one input partition holds for series ``sid``: ``vals(r)`` is
@@ -76,11 +76,11 @@ final case class Tile(bi: Int, bj: Int, blockI: Array[SeriesRow], blockJ: Array[
   * one span per series, in place, about 12 bytes a reading whatever the
   * input layout; [[pairStats]] sends each span to the ``k`` tiles of its
   * block ``sid % k``, one tile per partition, where the spans of a series
-  * merge into its row with its basic-window stats; [[pairSketches]] turns
-  * each tile into one sketch row in a ``flatMap``. The tiles are the one pair
-  * grid: NaiveCorr and ParCorr read them too. Spans and tiles are RDDs, each
-  * stage handing its objects to the next: only the sketch rows, which
-  * queries cache, are encoded as a Dataset.
+  * merge into its row with its basic-window stats; [[rows]] turns each tile
+  * into one sketch row in a ``flatMap``. The tiles are the one pair grid:
+  * NaiveCorr and ParCorr read them too. Spans, tiles and rows are RDDs, each
+  * stage handing its objects to the next: only sketch rows that queries
+  * cache are encoded, as a Dataset, by [[pairSketches]] and [[build]].
   */
 object Sketch {
 
@@ -137,17 +137,16 @@ object Sketch {
   /** One sketch row per tile with a pair: its series' stats once, means
     * [[centered]], and the cross products of each of its pairs.
     */
-  def pairSketches(tiles: RDD[Tile], q: SlidingQuery): Dataset[PairSketch] = {
-    val spark = SparkSession.active
-    import spark.implicits._
-    val b = q.bwSize
-    spark.createDataset(tiles.flatMap { tile =>
-      val s = tile.series
-      val (x, y) = tile.pairIndices.toArray.unzip
-      Option.when(x.nonEmpty)(PairSketch(q.start, b, s.map(_.sid), s.map(r => centered(r.mean)), s.map(_.m2),
-        x, y, x.indices.map(p => crossProducts(s(x(p)), s(y(p)), b)).toArray))
-    })
+  def rows(tiles: RDD[Tile], q: SlidingQuery): RDD[PairSketch] = tiles.flatMap { tile =>
+    val s = tile.series
+    val (x, y) = tile.pairIndices.toArray.unzip
+    Option.when(x.nonEmpty)(PairSketch(q.start, q.bwSize, s.map(_.sid), s.map(r => centered(r.mean)), s.map(_.m2),
+      x, y, x.indices.map(p => crossProducts(s(x(p)), s(y(p)), q.bwSize)).toArray))
   }
+
+  /** The [[rows]] encoded as a Dataset, for callers that cache them. */
+  def pairSketches(tiles: RDD[Tile], q: SlidingQuery): Dataset[PairSketch] =
+    SparkSession.active.createDataset(rows(tiles, q))(Encoders.product[PairSketch])
 
   /** Build the sketch rows straight from raw values. */
   def build(values: DataFrame, q: SlidingQuery): Dataset[PairSketch] =

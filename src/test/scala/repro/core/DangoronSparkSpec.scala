@@ -1,6 +1,11 @@
 package repro.core
 
+import java.util.concurrent.atomic.AtomicInteger
+
+import org.apache.spark.ListenerBusDrain
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.Dataset
+import org.apache.spark.sql.functions.col
 
 import repro.{SparkSpec, SparkTestData}
 import repro.naive.NaiveCorr
@@ -204,5 +209,42 @@ class DangoronSparkSpec extends SparkSpec {
     val cnt = edges.count()
     assert(cnt === n.toLong * (n - 1) / 2 * query.numWindows)
     assert(stats().totalWindows === cnt)
+  }
+
+  // --- Dangoron.run: one RDD pipeline from raw rows to edges --------------------
+  test("run gives the edges, corr bits and RunStats of edges over built sketches, on every input layout") {
+    val timeMajor = values.repartitionByRange(4, col("t")).sortWithinPartitions("t").persist()
+    val shuffled = values.repartition(7).persist()
+    def bits(es: Array[Edge]) = es.map(e => (e.i, e.j, e.w) -> java.lang.Double.doubleToRawLongBits(e.corr)).toMap
+    try for ((layout, in) <- Seq("series-major" -> values, "time-major" -> timeMajor, "repartition(7)" -> shuffled);
+             beta <- Seq(-1.0, 0.7); step <- Seq(8, 24)) {
+      val query = q(beta).copy(step = step)
+      val (got, gotStats) = Dangoron.run(in, query)
+      val gotEdges = got.collect()
+      val sk = Sketch.build(in, query).persist()
+      try {
+        val (expect, expectStats) = Dangoron.edges(sk, query)
+        val (g, x) = (bits(gotEdges), bits(expect.collect()))
+        assert(g.size === gotEdges.length && g.nonEmpty, s"$layout, $query: an edge twice, or none")
+        assert(g.keySet === x.keySet, s"$layout, $query")
+        assert(g === x, s"$layout, $query: corr bits")
+        assert(gotStats() === expectStats(), s"$layout, $query")
+      } finally sk.unpersist()
+    } finally { timeMajor.unpersist(); shuffled.unpersist() }
+  }
+
+  test("counting run's edges from persisted rows is one Spark job") {
+    val sc = spark.sparkContext
+    val in = SparkTestData.toValuesDf(spark, matrix).persist()
+    in.count()
+    val jobs = new AtomicInteger
+    val listener = new SparkListener { override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet() }
+    ListenerBusDrain(sc) // no earlier job reaches the listener
+    sc.addSparkListener(listener)
+    try {
+      assert(Dangoron.run(in, q(0.7))._1.count() > 0)
+      ListenerBusDrain(sc)
+      assert(jobs.get === 1)
+    } finally { sc.removeSparkListener(listener); in.unpersist() }
   }
 }
