@@ -4,8 +4,8 @@ import java.nio.{ByteBuffer, ByteOrder}
 
 import scala.collection.mutable
 
-import org.apache.spark.Partitioner
-import org.apache.spark.rdd.RDD
+import org.apache.spark.HashPartitioner
+import org.apache.spark.rdd.{PartitionPruningRDD, RDD}
 import org.apache.spark.sql.{DataFrame, Dataset, Encoders, SparkSession}
 import org.apache.spark.sql.functions._
 
@@ -74,9 +74,10 @@ final case class Tile(bi: Int, bj: Int, blockI: Array[SeriesRow], blockJ: Array[
   * step of the query range. Construction tiles the pair space as ParCorr does,
   * with one shuffle: [[segments]] folds each input partition's readings into
   * one span per series, in place, about 12 bytes a reading whatever the
-  * input layout; [[pairStats]] sends each span to the ``k`` tiles of its
-  * block ``sid % k``, one tile per partition, where the spans of a series
-  * merge into its row with its basic-window stats; [[rows]] turns each tile
+  * input layout; [[pairStats]] shuffles each span once, to the partition of
+  * its block ``sid % k``, where the spans of a series merge into its row
+  * with its basic-window stats, and forms each tile, one per partition,
+  * from the partitions of its two blocks; [[rows]] turns each tile
   * into one sketch row in a ``flatMap``. The tiles are the one pair grid:
   * NaiveCorr and ParCorr read them too. Spans, tiles and rows are RDDs, each
   * stage handing its objects to the next: only sketch rows that queries
@@ -112,26 +113,23 @@ object Sketch {
       }
   }
 
-  /** One tile of the all-pairs grid per partition: the one shuffle of the
-    * build sends each span to the tiles of its block, and each tile merges
-    * the spans of its series. A reading held twice, in one span or in two,
-    * or a step of the query range held by none, fails with an
+  /** One tile of the all-pairs grid per partition. The build's one shuffle
+    * sends each span once, to its block's partition, where the spans of each
+    * series merge into its row; tile ``(bi ≤ bj)`` reads blocks ``bi`` and
+    * ``bj`` through narrow dependencies. A reading held twice, in one span or
+    * in two, or a step of the query range held by none, fails with an
     * IllegalArgumentException naming sid and t.
     */
   def pairStats(spans: RDD[Span]): RDD[Tile] = {
     val k = blockCount(spans.sparkContext.defaultParallelism)
-    def block(sid: Int) = Math.floorMod(sid, k) // a block with no series leaves its tiles empty
-    spans
-      .flatMap(s => (0 until k).map(o => (math.min(block(s.sid), o), math.max(block(s.sid), o)) -> s))
-      .groupByKey(new Partitioner { // tile (bi, bj) alone in partition bj(bj+1)/2 + bi
-        def numPartitions: Int = k * (k + 1) / 2
-        def getPartition(key: Any): Int = key match { case (bi: Int, bj: Int) => bj * (bj + 1) / 2 + bi }
-      })
-      .map { case ((bi, bj), held) =>
-        val series = held.groupBy(_.sid).map { case (sid, ss) => merge(sid, ss) }.toArray
-        val (blockI, blockJ) = series.sortBy(_.sid).partition(s => block(s.sid) == bi)
-        Tile(bi, bj, blockI, blockJ)
+    val blocks = spans
+      .keyBy(s => Math.floorMod(s.sid, k))
+      .partitionBy(new HashPartitioner(k)) // an Int key b hashes to partition b
+      .mapPartitionsWithIndex { (b, held) =>
+        Iterator(b -> held.map(_._2).toSeq.groupBy(_.sid).map { case (sid, ss) => merge(sid, ss) }.toArray.sortBy(_.sid))
       }
+    PartitionPruningRDD.create(blocks.cartesian(blocks), p => p / k <= p % k) // partition p of the product reads blocks p / k and p % k
+      .map { case ((bi, blockI), (bj, blockJ)) => Tile(bi, bj, blockI, if (bi == bj) Array.empty[SeriesRow] else blockJ) }
   }
 
   /** One sketch row per tile with a pair: its series' stats once, means

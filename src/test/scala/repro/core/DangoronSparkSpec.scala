@@ -1,9 +1,12 @@
 package repro.core
 
-import java.util.concurrent.atomic.AtomicInteger
+import java.util.concurrent.ConcurrentLinkedQueue
+import java.util.concurrent.atomic.AtomicLong
+
+import scala.jdk.CollectionConverters._
 
 import org.apache.spark.ListenerBusDrain
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerTaskEnd}
 import org.apache.spark.sql.Dataset
 import org.apache.spark.sql.functions.col
 
@@ -233,18 +236,41 @@ class DangoronSparkSpec extends SparkSpec {
     } finally { timeMajor.unpersist(); shuffled.unpersist() }
   }
 
-  test("counting run's edges from persisted rows is one Spark job") {
+  /** Runs ``op`` with ``listener`` registered, after every earlier event has been delivered and before it is removed. */
+  private def listening[T](listener: SparkListener)(op: => T): T = {
     val sc = spark.sparkContext
-    val in = SparkTestData.toValuesDf(spark, matrix).persist()
-    in.count()
-    val jobs = new AtomicInteger
-    val listener = new SparkListener { override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet() }
     ListenerBusDrain(sc) // no earlier job reaches the listener
     sc.addSparkListener(listener)
+    try { val r = op; ListenerBusDrain(sc); r } finally sc.removeSparkListener(listener)
+  }
+
+  test("counting run's edges from persisted rows is one Spark job") {
+    val in = SparkTestData.toValuesDf(spark, matrix).persist()
+    in.count()
+    val stagesPerJob = new ConcurrentLinkedQueue[Int]
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = stagesPerJob.add(e.stageInfos.length)
+    }
     try {
-      assert(Dangoron.run(in, q(0.7))._1.count() > 0)
-      ListenerBusDrain(sc)
-      assert(jobs.get === 1)
-    } finally { sc.removeSparkListener(listener); in.unpersist() }
+      assert(listening(listener)(Dangoron.run(in, q(0.7))._1.count()) > 0)
+      // One shuffle-map stage and one result stage: a tile's two narrow parents read the one shuffle.
+      assert(stagesPerJob.asScala.toSeq === Seq(2))
+    } finally in.unpersist()
+  }
+
+  test("run's shuffle writes each span once, on series-major and repartitioned input") {
+    val shuffled = values.repartition(7).persist()
+    shuffled.count()
+    try for ((layout, in) <- Seq("series-major" -> values, "repartition(7)" -> shuffled)) {
+      val written = new AtomicLong
+      val listener = new SparkListener {
+        override def onTaskEnd(e: SparkListenerTaskEnd): Unit =
+          Option(e.taskMetrics).foreach(m => written.addAndGet(m.shuffleWriteMetrics.recordsWritten))
+      }
+      assert(listening(listener)(Dangoron.run(in, q(0.7))._1.count()) > 0, layout)
+      val spans = Sketch.segments(in, q(0.7)).count()
+      assert(spans >= n, layout)
+      assert(written.get === spans, s"$layout: shuffle records written")
+    } finally shuffled.unpersist()
   }
 }
