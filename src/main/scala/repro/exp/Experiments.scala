@@ -131,24 +131,21 @@ object Experiments {
   final case class T2Row(framework: String, beta: Double, accuracy: Double,
                          precision: Double, recall: Double, f1: Double, maxCorrErr: Double)
 
+  val ParCorrD = 32 // ParCorr's sketch dimension in Table 2
+
   /** Table 2 — edge accuracy vs exact, Dangoron vs ParCorr. */
-  def table2(spark: SparkSession, values: DataFrame, qBase: SlidingQuery,
-             betas: Seq[Double], parcorrD: Int = 32): Seq[T2Row] = {
+  def table2(spark: SparkSession, values: DataFrame, qBase: SlidingQuery, betas: Seq[Double]): Seq[T2Row] = {
     val tiles = Sketch.pairStats(Sketch.segments(values, qBase)).persist(StorageLevel.MEMORY_AND_DISK)
     val truth = NaiveCorr.allCorrs(tiles, qBase).persist(StorageLevel.MEMORY_AND_DISK)
-    truth.count()
+    val total = truth.count() // the truth holds every pair-window
     val sketches = Sketch.pairSketches(tiles, qBase).persist(StorageLevel.MEMORY_AND_DISK)
-    val nPairs = sketches.rdd.map(_.cp.length.toLong).fold(0L)(_ + _)
-    val total = nPairs * qBase.numWindows
     val rows = betas.flatMap { beta =>
       val q = qBase.copy(beta = beta)
-      val (dEdges, _) = Dangoron.edges(sketches, q)
-      val dAcc = Metrics.compare(dEdges, truth, beta, total)
-      val pEdges = ParCorr.edges(tiles, q, d = parcorrD)
-      val pAcc = Metrics.compare(pEdges, truth, beta, total)
+      val dAcc = Metrics.compare(Dangoron.edges(sketches, q)._1.rdd, truth, beta, total)
+      val pAcc = Metrics.compare(ParCorr.edges(tiles, q, d = ParCorrD), truth, beta, total)
       Seq(
         T2Row("Dangoron", beta, dAcc.accuracy, dAcc.precision, dAcc.recall, dAcc.f1, dAcc.maxCorrErrOnHits),
-        T2Row(s"ParCorr(d=$parcorrD)", beta, pAcc.accuracy, pAcc.precision, pAcc.recall, pAcc.f1, pAcc.maxCorrErrOnHits))
+        T2Row(s"ParCorr(d=$ParCorrD)", beta, pAcc.accuracy, pAcc.precision, pAcc.recall, pAcc.f1, pAcc.maxCorrErrOnHits))
     }
     truth.unpersist(); sketches.unpersist(); tiles.unpersist()
     rows
@@ -171,26 +168,23 @@ object Experiments {
     spectra.flatMap { case (name, spec) =>
       val tspec = TomborgSpec(n = w.n, len = w.len, clusters = 8, rho = 0.8, spectrum = spec)
       val q = w.query(beta)
-      val nPairs = w.n.toLong * (w.n - 1) / 2
-      val total = nPairs * q.numWindows
       val values = Tomborg.generate(spark, tspec)
       val tiles = Sketch.pairStats(Sketch.segments(values, q)).persist(StorageLevel.MEMORY_AND_DISK)
       val truth = NaiveCorr.allCorrs(tiles, q).persist(StorageLevel.MEMORY_AND_DISK)
-      truth.count()
+      val total = truth.count() // the truth holds every pair-window
       val sketches = Sketch.pairSketches(tiles, q).persist(StorageLevel.MEMORY_AND_DISK)
       sketches.count()
       val (dEdges, dSec) = time { val (ds, _) = Dangoron.edges(sketches, q); val c = ds.persist(); c.count(); c }
-      val dAcc = Metrics.compare(dEdges, truth, beta, total)
+      val dAcc = Metrics.compare(dEdges.rdd, truth, beta, total)
       val (tEdges, tSec) = time { val (ds, _) = Tsubasa.edges(sketches, q); val c = ds.persist(); c.count(); c }
-      val tAcc = Metrics.compare(tEdges, truth, beta, total)
+      val tAcc = Metrics.compare(tEdges.rdd, truth, beta, total)
       val (pEdges, pSec) = time { val ds = ParCorr.edges(tiles, q).persist(); ds.count(); ds }
       val pAcc = Metrics.compare(pEdges, truth, beta, total)
       val rows = Seq(
         T3Row(name, "Dangoron", dSec, dAcc.accuracy, dAcc.f1),
         T3Row(name, "TSUBASA", tSec, tAcc.accuracy, tAcc.f1),
         T3Row(name, "ParCorr", pSec, pAcc.accuracy, pAcc.f1))
-      Seq(dEdges, tEdges, pEdges).foreach(_.unpersist())
-      truth.unpersist(); sketches.unpersist(); tiles.unpersist()
+      dEdges.unpersist(); tEdges.unpersist(); pEdges.unpersist(); truth.unpersist(); sketches.unpersist(); tiles.unpersist()
       rows
     }
   }
@@ -209,8 +203,7 @@ object Experiments {
   /** Table 4 — pruning power: Eq. 2 window skips + horizontal (triangle)
     * pair pruning at the first window.
     */
-  def table4(spark: SparkSession, values: DataFrame, qBase: SlidingQuery,
-             betas: Seq[Double], pivot: Int = 0): Seq[T4Row] = {
+  def table4(spark: SparkSession, values: DataFrame, qBase: SlidingQuery, betas: Seq[Double]): Seq[T4Row] = {
     val sketches = Sketch.build(values, qBase).persist(StorageLevel.MEMORY_AND_DISK)
     sketches.count()
     val rows = betas.map { beta =>
@@ -218,7 +211,7 @@ object Experiments {
       val (ds, stats) = Dangoron.edges(sketches, q)
       ds.count()
       val st = stats()
-      val hp = HorizontalPrune.edgesForWindow(sketches, q, w = 0, pivot = pivot)
+      val hp = HorizontalPrune.edgesForWindow(sketches, q, w = 0, pivot = 0)
       T4Row(beta, st.computedWindows, st.skippedWindows, st.skippedFraction,
         hp.prunedPairs, hp.computedPairs)
     }

@@ -1,6 +1,6 @@
 package repro.exp
 
-import org.apache.spark.sql.Dataset
+import org.apache.spark.rdd.RDD
 import repro.core.Edge
 
 /** Edge-classification quality of an approximate framework against the
@@ -25,30 +25,21 @@ object Metrics {
   /** Compare predicted edges against exact ground-truth correlations.
     *
     * ``truthAll`` must hold EVERY pair-window correlation (unthresholded);
-    * it is thresholded at ``beta`` here so one cached truth Dataset serves
-    * every β of a sweep. ``maxCorrErrOnHits`` is the worst |corr −
-    * exact corr| over true-positive edges (≈0 for exact frameworks).
+    * it is thresholded at ``beta`` here so one cached truth RDD serves
+    * every β of a sweep. One full outer join keyed by (i, j, w) and one
+    * ``aggregate`` count tp, fp and fn. ``maxCorrErrOnHits`` is the worst
+    * |corr − exact corr| over true-positive edges (≈0 for exact frameworks).
     */
-  def compare(pred: Dataset[Edge], truthAll: Dataset[Edge], beta: Double,
-              totalPairWindows: Long): Accuracy = {
-    val spark = pred.sparkSession
-    import spark.implicits._
-    val p = pred.toDF("i", "j", "w", "corr").alias("p")
-    val t = truthAll.filter(_.corr >= beta).toDF("i", "j", "w", "corr").alias("t")
-    import org.apache.spark.sql.functions._
-    val joined = p.join(t,
-      col("p.i") === col("t.i") && col("p.j") === col("t.j") && col("p.w") === col("t.w"),
-      "full_outer")
-    val agg = joined.agg(
-      count(when(col("p.i").isNotNull && col("t.i").isNotNull, 1)).as("tp"),
-      count(when(col("p.i").isNotNull && col("t.i").isNull, 1)).as("fp"),
-      count(when(col("p.i").isNull && col("t.i").isNotNull, 1)).as("fn"),
-      max(when(col("p.i").isNotNull && col("t.i").isNotNull,
-        abs(col("p.corr") - col("t.corr")))).as("maxErr")
-    ).collect()(0)
-    Accuracy(
-      tp = agg.getLong(0), fp = agg.getLong(1), fn = agg.getLong(2),
-      totalPairWindows = totalPairWindows,
-      maxCorrErrOnHits = if (agg.isNullAt(3)) 0.0 else agg.getDouble(3))
+  def compare(pred: RDD[Edge], truthAll: RDD[Edge], beta: Double, totalPairWindows: Long): Accuracy = {
+    def keyed(edges: RDD[Edge]) = edges.map(e => ((e.i, e.j, e.w), e.corr))
+    val (tp, fp, fn, maxErr) = keyed(pred).fullOuterJoin(keyed(truthAll.filter(_.corr >= beta))).values
+      .aggregate((0L, 0L, 0L, 0.0))({
+        case ((tp, fp, fn, err), (Some(p), Some(t))) => (tp + 1, fp, fn, math.max(err, math.abs(p - t)))
+        case ((tp, fp, fn, err), (Some(_), None)) => (tp, fp + 1, fn, err)
+        case ((tp, fp, fn, err), (None, _)) => (tp, fp, fn + 1, err)
+      }, { case ((tp1, fp1, fn1, err1), (tp2, fp2, fn2, err2)) =>
+        (tp1 + tp2, fp1 + fp2, fn1 + fn2, math.max(err1, err2))
+      })
+    Accuracy(tp, fp, fn, totalPairWindows, maxErr)
   }
 }

@@ -1,7 +1,6 @@
 package repro.parcorr
 
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.core.{Edge, PairMath, SlidingQuery, Tile}
 import repro.util.DetRandom
 
@@ -81,23 +80,21 @@ object ParCorr {
     else PairMath.clamp(dot / math.sqrt(na) / math.sqrt(nb))
   }
 
-  /** Thresholded edge estimates for the whole sliding query.
+  /** Thresholded edge estimates for the whole sliding query, as an
+    * ``RDD[Edge]`` like the other baselines'.
     *
     * Spark layout: the tiles of ``Sketch.pairStats`` (ParCorr's grid over the
     * pair space). Each tile task sketches the windows of its series, rolling
     * updates inside the task, then estimates every pair of the tile per
     * window and keeps those at or above β.
     */
-  def edges(tiles: RDD[Tile], q: SlidingQuery, d: Int = 32, seed: Long = 1234): Dataset[Edge] = {
-    val spark = SparkSession.active
-    import spark.implicits._
-    spark.createDataset(tiles.flatMap { tile =>
+  def edges(tiles: RDD[Tile], q: SlidingQuery, d: Int = 32, seed: Long = 1234): RDD[Edge] =
+    tiles.flatMap { tile =>
       val windows = (tile.blockI ++ tile.blockJ).map(s => s.sid -> sketchSeries(s.sid, s.vals, q, d, seed)).toMap
       tile.pairs.flatMap { case (x, y) =>
         windows(x.sid).iterator.zip(windows(y.sid))
           .map { case (a, b) => Edge(x.sid, y.sid, a.w, estimate(a, b)) }
           .filter(_.corr >= q.beta)
       }
-    })
-  }
+    }
 }

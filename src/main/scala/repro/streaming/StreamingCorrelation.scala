@@ -27,7 +27,7 @@ object StreamingCorrelation {
   final class StreamingDangoron(spark: SparkSession, nSeries: Int, q: SlidingQuery) {
     private val buffer: Array[mutable.ArrayBuffer[Double]] =
       Array.fill(nSeries)(mutable.ArrayBuffer.empty[Double])
-    private var base = 0L // t of every series' first buffered reading
+    private var base = q.start // t of every series' first buffered reading
     private var emittedWindows = 0
     private val collected = mutable.ArrayBuffer.empty[Edge]
 
@@ -49,11 +49,11 @@ object StreamingCorrelation {
       else math.min(q.numWindows, ((avail - q.windowLen) / q.step + 1).toInt)
     }
 
-    /** Ingest one micro-batch of rows ``(sid, t, v)`` (t dense per series)
-      * and return edges newly emitted because of it. The whole batch is
-      * checked first: a sid outside ``[0, nSeries)``, a non-finite value or a
-      * gap fails with an IllegalArgumentException naming sid and t, and
-      * leaves the buffers unchanged.
+    /** Ingest one micro-batch of rows ``(sid, t, v)`` (t dense per series
+      * from ``q.start``, where every stream starts) and return edges newly
+      * emitted because of it. The whole batch is checked first: a sid outside
+      * ``[0, nSeries)``, a non-finite value or a gap fails with an
+      * IllegalArgumentException naming sid and t, and leaves the buffers unchanged.
       */
     def ingest(batch: Array[(Int, Long, Double)]): Vector[Edge] = {
       val rows = batch.sortBy(r => (r._1, r._2))

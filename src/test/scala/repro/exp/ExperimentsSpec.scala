@@ -33,7 +33,7 @@ class ExperimentsSpec extends SparkSpec {
   }
 
   test("table2 harness: accuracy metrics are well-formed and high") {
-    val rows = Experiments.table2(spark, values, q, betas = Seq(0.7), parcorrD = 32)
+    val rows = Experiments.table2(spark, values, q, betas = Seq(0.7))
     assert(rows.size === 2)
     rows.foreach { r =>
       assert(r.accuracy >= 0.0 && r.accuracy <= 1.0)

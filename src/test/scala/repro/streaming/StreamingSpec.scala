@@ -144,6 +144,17 @@ class StreamingSpec extends SparkSpec {
     perWindow.foreach(e => assert(math.abs(e.corr - exact((e.i, e.j, e.w))) < 1e-9, s"$e"))
   }
 
+  test("a stream whose query starts after t = 0 is fed from q.start and streams the exact network") {
+    val late = SlidingQuery(48L, len.toLong, windowLen = 48, step = 8, beta = 0.6, bwSize = 8)
+    val driver = new StreamingCorrelation.StreamingDangoron(spark, n, late)
+    for (t <- 48 until len by 8)
+      driver.ingest(for { sid <- (0 until n).toArray; u <- (t until t + 8).toArray } yield (sid, u.toLong, matrix(sid)(u)))
+    assert(driver.windowsEmitted === 13)
+    val exact = Tsubasa.edges(Sketch.build(values, late), late)._1.collect().map(e => (e.i, e.j, e.w)).toSet
+    assert(exact.nonEmpty)
+    assert(driver.edgesSoFar.map(e => (e.i, e.j, e.w)).toSet === exact)
+  }
+
   test("frontier waits for the slowest series") {
     val driver = new StreamingCorrelation.StreamingDangoron(spark, n, q)
     // all series except sid=0 get plenty of data; sid=0 gets none
