@@ -7,7 +7,11 @@ import scala.collection.mutable
 import org.apache.spark.HashPartitioner
 import org.apache.spark.rdd.{PartitionPruningRDD, RDD}
 import org.apache.spark.sql.{DataFrame, Dataset, Encoders, SparkSession}
+import org.apache.spark.sql.catalyst.InternalRow
+import org.apache.spark.sql.classic.ClassicConversions.castToImpl
+import org.apache.spark.sql.execution.columnar.InMemoryTableScanExec
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.{DoubleType, IntegerType, LongType}
 
 /** The readings one input partition holds for series ``sid``: ``vals(r)`` is
   * step ``steps(r)`` of the query range, in the partition's row order, so a
@@ -85,32 +89,45 @@ final case class Tile(bi: Int, bj: Int, blockI: Array[SeriesRow], blockJ: Array[
   */
 object Sketch {
 
-  /** Series blocks ``k``: the least giving three tiles per core, so that tiles of unequal size balance. */
+  /** Series blocks ``k``: the least giving two tiles per core, so that tiles of unequal size balance. */
   private[core] def blockCount(parallelism: Int): Int =
-    Iterator.from(1).find(k => k * (k + 1) / 2 >= 3 * parallelism).get
+    Iterator.from(1).find(k => k * (k + 1) / 2 >= 2 * parallelism).get
 
-  /** One span per (input partition, series), holding the readings that
-    * partition holds of the series; no shuffle. A null sid or value, or a NaN
-    * or infinite value, fails with an IllegalArgumentException naming sid and t.
+  /** One span per (input partition, series) with the readings that partition holds of the series in the query range,
+    * filtered here so that one plan of the input serves every query; no shuffle. A null sid, t or value, or a NaN or
+    * infinite value, fails with an IllegalArgumentException naming sid and t.
     */
   def segments(values: DataFrame, q: SlidingQuery): RDD[Span] = {
     val start = q.start; val end = q.end; val len = (end - start).toInt; val b = q.bwSize
-    values
-      .select(col("sid").cast("int"), col("t").cast("long"), col("v").cast("double"))
-      .where(col("t") >= start && col("t") < end)
-      .queryExecution.toRdd // the rows as Spark holds them: no Row, no boxing
-      .mapPartitions { rows =>
-        val held = mutable.LongMap.empty[(mutable.ArrayBuilder.ofInt, mutable.ArrayBuilder.ofDouble)]
-        rows.foreach { r => // t is never null past the range filter
-          require(!r.isNullAt(0) && !r.isNullAt(2),
-            s"null reading at sid=${if (r.isNullAt(0)) "null" else r.getInt(0)}, t=${r.getLong(1)}")
-          val sid = r.getInt(0); val t = r.getLong(1); val v = r.getDouble(2)
-          require(!v.isNaN && !v.isInfinite, s"non-finite value $v at sid=$sid, t=$t")
-          val (us, vs) = held.getOrElseUpdate(sid, (new mutable.ArrayBuilder.ofInt, new mutable.ArrayBuilder.ofDouble))
+    inputRows(values).mapPartitions { rows =>
+      val held = mutable.LongMap.empty[(mutable.ArrayBuilder.ofInt, mutable.ArrayBuilder.ofDouble)]
+      def sidOf(r: InternalRow) = if (r.isNullAt(0)) "null" else r.getInt(0)
+      rows.foreach { r => // a null t would read as 0
+        require(!r.isNullAt(1), s"null reading at sid=${sidOf(r)}, t=null")
+        val t = r.getLong(1)
+        if (t >= start && t < end) {
+          require(!r.isNullAt(0) && !r.isNullAt(2), s"null reading at sid=${sidOf(r)}, t=$t")
+          val v = r.getDouble(2)
+          require(!v.isNaN && !v.isInfinite, s"non-finite value $v at sid=${r.getInt(0)}, t=$t")
+          val (us, vs) = held.getOrElseUpdate(r.getInt(0), (new mutable.ArrayBuilder.ofInt, new mutable.ArrayBuilder.ofDouble))
           us += (t - start).toInt; vs += v
         }
-        held.iterator.map { case (sid, (us, vs)) => Span(sid.toInt, us.result(), vs.result(), start, len, b) }
       }
+      held.iterator.map { case (sid, (us, vs)) => Span(sid.toInt, us.result(), vs.result(), start, len, b) }
+    }
+  }
+
+  /** The rows of ``values`` as ``(sid int, t long, v double)``: through the DataFrame's own plan, made once, if it has
+    * that schema and the plan reads its cache as it stands now (one made before a ``persist`` misses the cache, one made
+    * before an ``unpersist`` refills a copy that nothing frees); else through a fresh plan casting the columns.
+    */
+  private def inputRows(values: DataFrame): RDD[InternalRow] = {
+    val (own, cache) = (values.queryExecution, castToImpl(values.sparkSession).sharedState.cacheManager)
+    def scans = cache.collect(own.executedPlan) { case s: InMemoryTableScanExec => s.relation.cacheBuilder } // walks adaptive plans too
+    def cached = cache.lookupCachedData(castToImpl(values)).map(_.cachedRepresentation.cacheBuilder).toSeq
+    if (values.schema.map(f => f.name -> f.dataType) == Seq("sid" -> IntegerType, "t" -> LongType, "v" -> DoubleType) &&
+        scans.corresponds(cached)(_ eq _)) own.toRdd
+    else values.select(col("sid").cast("int"), col("t").cast("long"), col("v").cast("double")).queryExecution.toRdd
   }
 
   /** One tile of the all-pairs grid per partition. The build's one shuffle

@@ -6,6 +6,7 @@ import java.util.concurrent.atomic.AtomicLong
 import scala.jdk.CollectionConverters._
 
 import org.apache.spark.ListenerBusDrain
+import org.apache.spark.rdd.RDD
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerTaskEnd}
 import org.apache.spark.sql.Dataset
 import org.apache.spark.sql.functions.col
@@ -272,5 +273,47 @@ class DangoronSparkSpec extends SparkSpec {
       assert(spans >= n, layout)
       assert(written.get === spans, s"$layout: shuffle records written")
     } finally shuffled.unpersist()
+  }
+
+  /** Every RDD that ``rdd`` reads, itself included, through narrow and shuffle dependencies. */
+  private def lineage(rdd: RDD[_]): Seq[RDD[_]] = rdd +: rdd.dependencies.flatMap(d => lineage(d.rdd))
+
+  test("runs over one persisted DataFrame read its one planned input, whatever the query") {
+    val in = SparkTestData.toValuesDf(spark, matrix).persist()
+    in.count()
+    try {
+      val input = in.queryExecution.toRdd // planned once, over the cache
+      val queries = Seq(q(0.7), SlidingQuery(16L, 176L, windowLen = 48, step = 24, beta = 0.5, bwSize = 8))
+      val runs = queries.map(query => Dangoron.run(in, query)._1)
+      for ((edges, query) <- runs.zip(queries)) {
+        assert(lineage(edges).map(_.id).contains(input.id), s"$query")
+        assert(edges.count() > 0, s"$query")
+      }
+    } finally in.unpersist()
+  }
+
+  test("run reads a DataFrame's cache as it stands at each call: persisted, the cache; unpersisted, the source") {
+    val sc = spark.sparkContext
+    val reads = sc.longAccumulator("source rows read")
+    val rows = SparkTestData.toValuesDf(spark, matrix)
+    val query = q(0.7)
+    val persistedBefore = sc.getPersistentRDDs.keySet
+    def edgeBits(es: Array[Edge]) = es.map(e => (e.i, e.j, e.w, java.lang.Double.doubleToRawLongBits(e.corr))).sorted.toSeq
+    lazy val want = Dangoron.run(rows, query) match { case (es, st) => (edgeBits(es.collect()), st()) }
+    // A plan made before a persist, and one made over a cache since dropped or replaced.
+    val fresh = Seq("fresh" -> false, "persisted" -> true, "unpersisted" -> false, "persisted again" -> true)
+    for (states <- Seq(fresh, fresh.tail)) {
+      val in = spark.createDataFrame(rows.rdd.map { r => reads.add(1); r }, rows.schema)
+      try for ((state, cached) <- states) {
+        if (cached) { in.persist(); in.count() } else in.unpersist(blocking = true)
+        val before = reads.value
+        val (edges, stats) = Dangoron.run(in, query)
+        val got = (edgeBits(edges.collect()), stats())
+        val at = s"${states.head._1} input, $state"
+        assert(reads.value - before === (if (cached) 0 else n * len), s"$at: source rows read")
+        assert((sc.getPersistentRDDs.keySet -- persistedBefore).size === (if (cached) 1 else 0), s"$at: persisted RDDs")
+        assert(got._1.nonEmpty && got === want, at)
+      } finally in.unpersist(blocking = true)
+    }
   }
 }

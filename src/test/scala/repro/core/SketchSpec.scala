@@ -224,6 +224,14 @@ class SketchSpec extends SparkSpec {
       } finally tiles.unpersist()
     }
 
+  test("blockCount is the least k whose k(k+1)/2 tiles are at least two per core") {
+    for (p <- 1 to 64) {
+      val k = Sketch.blockCount(p)
+      assert(k * (k + 1) / 2 >= 2 * p && (k - 1) * k / 2 < 2 * p, s"parallelism $p: k = $k")
+    }
+    assert(Sketch.blockCount(4) === 4) // 10 tiles on 4 cores
+  }
+
   test("build of a single series is empty") {
     val v1 = SparkTestData.toValuesDf(spark, Array(series(62L, 0, len)))
     assert(Sketch.build(v1, q).count() === 0)
@@ -293,10 +301,11 @@ class SketchSpec extends SparkSpec {
 
   test("segments reject a null sid or value, naming sid and t") {
     import org.apache.spark.sql.functions._
-    for ((c, sid) <- Seq("v" -> "4", "sid" -> "null")) {
+    // A null t fails too: read as a long it would be a reading at t = 0.
+    for ((c, at) <- Seq("v" -> "sid=4, t=70", "sid" -> "sid=null, t=70", "t" -> "sid=4, t=null")) {
       val nulled = when(col("sid") === 4 && col("t") === 70, lit(null)).otherwise(col(c))
       val ex = rejection(values.withColumn(c, nulled))
-      assert(ex.getMessage.contains(s"null reading at sid=$sid, t=70"), ex.getMessage)
+      assert(ex.getMessage.contains(s"null reading at $at"), ex.getMessage)
     }
   }
 
