@@ -17,6 +17,6 @@ import repro.core._
 object Tsubasa {
 
   /** Sliding query: every window evaluated, entries < β dropped. */
-  def edges(sketches: Dataset[PairSketch], q: SlidingQuery): (Dataset[Edge], () => RunStats) =
-    Dangoron.sweepEdges(sketches, q, "tsubasa")(() => Sweep.tsubasa(_, q))
+  def edges(sketches: Dataset[PairSketch], q: SlidingQuery): (Edges, () => RunStats) =
+    Dangoron.sweepEdges(sketches.rdd, q, "tsubasa")(() => Sweep.tsubasa(_, q))
 }

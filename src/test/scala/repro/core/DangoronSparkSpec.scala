@@ -259,6 +259,40 @@ class DangoronSparkSpec extends SparkSpec {
     } finally in.unpersist()
   }
 
+  private val engines = Seq[(String, (Dataset[PairSketch], SlidingQuery) => (Edges, () => RunStats))](
+    "Dangoron" -> Dangoron.edges, "TSUBASA" -> Tsubasa.edges)
+
+  test("counting Dangoron's or TSUBASA's edges over persisted sketches is one Spark job") {
+    val sk = Sketch.build(values, q(0.7)).persist()
+    sk.count()
+    try for ((engine, edges) <- engines) {
+      val jobs = new AtomicLong
+      val listener = new SparkListener {
+        override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet()
+      }
+      assert(listening(listener)(edges(sk, q(0.7))._1.count()) > 0, engine)
+      // Jobs, not stages: each job's stage list also names the build's shuffle-map stage, which it skips.
+      assert(jobs.get === 1, engine)
+    } finally sk.unpersist()
+  }
+
+  test("Dangoron's and TSUBASA's edges over one persisted sketch Dataset are partition-aligned") {
+    val query = q(0.5)
+    val sk = Sketch.build(values, query).persist()
+    try {
+      val Seq(d, t) = engines.map { case (_, edges) => edges(sk, query)._1.rdd }
+      assert(d.getNumPartitions === t.getNumPartitions)
+      // Per partition: Dangoron's edges, and those missing from TSUBASA's same partition or off by more than 1e-9.
+      val parts = d.zipPartitions(t) { (ds, ts) =>
+        val exact = ts.map(e => (e.i, e.j, e.w) -> e.corr).toMap
+        val got = ds.toSeq
+        Iterator((got.length, got.count(e => !exact.get((e.i, e.j, e.w)).exists(c => math.abs(c - e.corr) <= 1e-9))))
+      }.collect()
+      assert(parts.count(_._1 > 0) > 1, "fewer than two partitions hold edges")
+      assert(parts.map(_._2).sum === 0, "Dangoron edges not in TSUBASA's same partition")
+    } finally sk.unpersist()
+  }
+
   test("run's shuffle writes each span once, on series-major and repartitioned input") {
     val shuffled = values.repartition(7).persist()
     shuffled.count()
