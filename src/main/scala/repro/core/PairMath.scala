@@ -2,7 +2,7 @@ package repro.core
 
 /** Exact Pearson recombination from basic-window sketches (the paper's
   * Eq. 1), in pure Scala so it can be unit-tested without Spark and run
-  * inside the sweep tasks, one pair view at a time.
+  * inside the sweep tasks, one pair at a time.
   *
   * The identity used (uniform basic-window size ``b``):
   *
@@ -40,37 +40,75 @@ object PairMath {
     ws
   }
 
-  /** One pair's prefix sums in a buffer reused from pair to pair: [[fill]]
-    * loads them in one pass, entry ``6t + k`` holding, over basic windows
-    * ``[0, t)``, term ``k < 5`` of Eq. 1's sums and, at ``k = 5``, Eq. 2's
-    * ``Σ (1 − c_u)`` ([[upper]]); [[corr]] is Eq. 1 for the window over
-    * ``[from, from + nS)`` from two lookups per term, O(1) for any slide.
+  /** One series of a tile as the pair fill reads it: its basic-window means ([[Sketch.centered]]) and m2, and Eq. 1's
+    * two per-series prefixes, entry ``t`` summing basic windows ``[0, t)`` in [[WindowSums.addBw]]'s order: ``mu`` of
+    * μ, ``sq`` of m2 + b·μ². Built once per series of a tile, read by each of its pairs.
+    */
+  final class Series(val mean: Array[Double], val m2: Array[Double], b: Int) {
+    val mu = new Array[Double](mean.length + 1)
+    val sq = new Array[Double](mean.length + 1)
+    locally {
+      var sMu, sSq = 0.0
+      var t = 0
+      while (t < mean.length) {
+        val m = mean(t)
+        sMu += m; sSq += m2(t) + b * m * m
+        t += 1
+        mu(t) = sMu; sq(t) = sSq
+      }
+    }
+  }
+
+  /** One pair's prefix sums in buffers reused from pair to pair: [[fill]]
+    * reads its two series' prefixes as they are and fills the pair's own,
+    * entry ``t`` summing basic windows ``[0, t)``: Eq. 1's ``cp + b·μx·μy``
+    * and Eq. 2's ``Σ (1 − c_u)`` ([[upper]]). [[corr]] is Eq. 1 for the
+    * window over ``[from, from + nS)`` from two lookups per term, O(1) for
+    * any slide.
     */
   final class Prefix {
-    private var p = new Array[Double](0)
+    private var x, y: Series = _
+    private var xy, up, d, c = new Array[Double](0)
     private val ws = new WindowSums
 
-    def fill(sk: Pair, b: Int): Prefix = {
-      if (p.length < 6 * (sk.nBw + 1)) p = new Array[Double](6 * (sk.nBw + 1))
-      val run = new WindowSums
-      var up = 0.0
-      var t = 0
-      while (t < sk.nBw) {
-        run.addBw(sk, t, b); up += 1.0 - bwCorr(sk, t); t += 1
-        val at = 6 * t
-        p(at) = run.sMuX; p(at + 1) = run.sMuY; p(at + 2) = run.sXX; p(at + 3) = run.sYY; p(at + 4) = run.sXY
-        p(at + 5) = up
-      }
+    /** A lone pair view: its series' prefixes are built here too. */
+    def fill(sk: Pair, b: Int): Prefix = fill(new Series(sk.meanX, sk.m2x, b), new Series(sk.meanY, sk.m2y, b), sk.cp, b)
+
+    /** The pair of ``x`` and ``y`` (lower sid first) with cross products ``cp``. */
+    def fill(x: Series, y: Series, cp: Array[Double], b: Int): Prefix = {
+      val n = x.mean.length
+      if (xy.length <= n) { xy = new Array(n + 1); up = new Array(n + 1); d = new Array(n); c = new Array(n) }
+      this.x = x; this.y = y
+      bwCorrs(x.m2, y.m2, cp, n)
+      pairSums(x.mean, y.mean, cp, n, b)
       this
     }
 
+    /** [[bwCorr]]'s ratio per basic window, with no select: a loop with no branch, which C2 vectorizes. */
+    private def bwCorrs(m2x: Array[Double], m2y: Array[Double], cp: Array[Double], n: Int): Unit = {
+      var t = 0
+      while (t < n) { val dt = m2x(t) * m2y(t); d(t) = dt; c(t) = cp(t) / math.sqrt(dt); t += 1 }
+    }
+
+    /** The pair's two running sums, with [[bwCorr]]'s select on the ratios [[bwCorrs]] left. */
+    private def pairSums(mx: Array[Double], my: Array[Double], cp: Array[Double], n: Int, b: Int): Unit = {
+      var sXY, sUp = 0.0
+      var t = 0
+      while (t < n) {
+        sXY += cp(t) + b * mx(t) * my(t)
+        sUp += 1.0 - (if (d(t) <= VarEps * VarEps) -1.0 else clamp(c(t)))
+        t += 1
+        xy(t) = sXY; up(t) = sUp
+      }
+    }
+
     /** Eq. 2's ``Σ_{u<t} (1 − c_u)``; zero-variance basic windows count ``c = −1``. */
-    def upper(t: Int): Double = p(6 * t + 5)
+    def upper(t: Int): Double = up(t)
 
     def corr(from: Int, nS: Int, b: Int): Double = {
-      val hi = 6 * (from + nS); val lo = 6 * from
-      ws.sMuX = p(hi) - p(lo); ws.sMuY = p(hi + 1) - p(lo + 1)
-      ws.sXX = p(hi + 2) - p(lo + 2); ws.sYY = p(hi + 3) - p(lo + 3); ws.sXY = p(hi + 4) - p(lo + 4)
+      val hi = from + nS
+      ws.sMuX = x.mu(hi) - x.mu(from); ws.sMuY = y.mu(hi) - y.mu(from)
+      ws.sXX = x.sq(hi) - x.sq(from); ws.sYY = y.sq(hi) - y.sq(from); ws.sXY = xy(hi) - xy(from)
       corrFromSums(ws, nS, b)
     }
   }

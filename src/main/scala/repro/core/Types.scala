@@ -48,7 +48,8 @@ final case class SlidingQuery(
 }
 
 /** One pair's basic-window sketch over the query range: a view a task builds
-  * from references into a [[PairSketch]] row, never stored.
+  * from references into a [[PairSketch]] row, never stored; TSUBASA,
+  * horizontal pruning and the lone-pair entry points read it.
   *
   * All arrays are indexed by local basic-window index ``0 until nBw``.
   * ``meanX``/``meanY`` are the basic-window means, [[Sketch.centered]];
@@ -61,6 +62,17 @@ final case class Pair(i: Int, j: Int, meanX: Array[Double], m2x: Array[Double],
   def nBw: Int = meanX.length
 }
 
+/** The pairs of one tile, walked in place: after each [[advance]] that
+  * returns true, ``x`` and ``y`` index the pair's series in the tile, lower
+  * sid first, and ``cp`` holds its cross products until the next advance.
+  */
+private[core] trait PairCursor {
+  def advance(): Boolean
+  def x: Int
+  def y: Int
+  def cp: Array[Double]
+}
+
 /** The cached sketch of one tile of the all-pairs grid, each piece of Eq. 1's
   * state stored once: series ``s`` of the tile has sid ``sid(s)`` and
   * basic-window ``mean(s)``/``m2(s)``; pair ``p`` joins series ``x(p)`` and
@@ -69,18 +81,32 @@ final case class Pair(i: Int, j: Int, meanX: Array[Double], m2x: Array[Double],
   */
 final case class PairSketch(start: Long, bwSize: Int, sid: Array[Int], mean: Array[Array[Double]],
                             m2: Array[Array[Double]], x: Array[Int], y: Array[Int], cp: Array[Array[Double]]) {
-  /** Each pair's view for query ``q``, lazily, sharing the row's arrays. A
-    * query whose basic windows do not start the sketch's fails with an
-    * IllegalArgumentException naming both ranges.
-    */
+  /** Each pair's view for query ``q``, lazily, sharing the row's arrays. */
   def pairs(q: SlidingQuery): Iterator[Pair] = {
-    val end = start + mean(0).length.toLong * bwSize
-    require(q.start == start && q.bwSize == bwSize && q.end <= end, s"query range [${q.start}, ${q.end}) " +
-      s"at bwSize ${q.bwSize} is not a prefix of the sketch's [$start, $end) at bwSize $bwSize")
+    requireCovers(q)
     cp.indices.iterator.map { p =>
       val (a, b) = (x(p), y(p))
       Pair(sid(a), sid(b), mean(a), m2(a), mean(b), m2(b), cp(p))
     }
+  }
+
+  /** The row's pairs for query ``q``, walked in place. */
+  private[core] def cursor(q: SlidingQuery): PairCursor = {
+    requireCovers(q)
+    new PairCursor {
+      private var p = -1
+      def advance(): Boolean = { p += 1; p < PairSketch.this.cp.length }
+      def x: Int = PairSketch.this.x(p)
+      def y: Int = PairSketch.this.y(p)
+      def cp: Array[Double] = PairSketch.this.cp(p)
+    }
+  }
+
+  /** A query whose basic windows do not start the sketch's fails with an IllegalArgumentException naming both ranges. */
+  private def requireCovers(q: SlidingQuery): Unit = {
+    val end = start + mean(0).length.toLong * bwSize
+    require(q.start == start && q.bwSize == bwSize && q.end <= end, s"query range [${q.start}, ${q.end}) " +
+      s"at bwSize ${q.bwSize} is not a prefix of the sketch's [$start, $end) at bwSize $bwSize")
   }
 }
 

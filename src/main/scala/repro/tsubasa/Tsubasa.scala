@@ -17,6 +17,13 @@ import repro.core._
 object Tsubasa {
 
   /** Sliding query: every window evaluated, entries < β dropped. */
-  def edges(sketches: Dataset[PairSketch], q: SlidingQuery): (Edges, () => RunStats) =
-    Dangoron.sweepEdges(sketches.rdd, q, "tsubasa")(() => Sweep.tsubasa(_, q))
+  def edges(sketches: Dataset[PairSketch], q: SlidingQuery): (Edges, () => RunStats) = {
+    val work = Work(sketches.sparkSession.sparkContext, "tsubasa")
+    val edges = sketches.rdd.flatMap(_.pairs(q).flatMap { p =>
+      val r = Sweep.tsubasa(p, q)
+      work.add(r.computed, r.skipped)
+      r.edges.map { case (w, c) => Edge(p.i, p.j, w, c) }
+    })
+    (new Edges(edges), work.stats)
+  }
 }

@@ -8,7 +8,7 @@ import scala.jdk.CollectionConverters._
 import org.apache.spark.ListenerBusDrain
 import org.apache.spark.rdd.RDD
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerTaskEnd}
-import org.apache.spark.sql.Dataset
+import org.apache.spark.sql.{DataFrame, Dataset}
 import org.apache.spark.sql.functions.col
 
 import repro.{SparkSpec, SparkTestData}
@@ -216,25 +216,45 @@ class DangoronSparkSpec extends SparkSpec {
   }
 
   // --- Dangoron.run: one RDD pipeline from raw rows to edges --------------------
+  /** ``Dangoron.run`` over ``in`` gives the edges, corr bits and RunStats of ``Dangoron.edges`` over ``Sketch.build``. */
+  private def assertRunMatchesEdges(layout: String, in: DataFrame, query: SlidingQuery): Unit = {
+    def bits(es: Array[Edge]) = es.map(e => (e.i, e.j, e.w) -> java.lang.Double.doubleToRawLongBits(e.corr)).toMap
+    val (got, gotStats) = Dangoron.run(in, query)
+    val gotEdges = got.collect()
+    val sk = Sketch.build(in, query).persist()
+    try {
+      val (expect, expectStats) = Dangoron.edges(sk, query)
+      val (g, x) = (bits(gotEdges), bits(expect.collect()))
+      assert(g.size === gotEdges.length && g.nonEmpty, s"$layout, $query: an edge twice, or none")
+      assert(g.keySet === x.keySet, s"$layout, $query")
+      assert(g === x, s"$layout, $query: corr bits")
+      assert(gotStats() === expectStats(), s"$layout, $query")
+    } finally sk.unpersist()
+  }
+
   test("run gives the edges, corr bits and RunStats of edges over built sketches, on every input layout") {
     val timeMajor = values.repartitionByRange(4, col("t")).sortWithinPartitions("t").persist()
     val shuffled = values.repartition(7).persist()
-    def bits(es: Array[Edge]) = es.map(e => (e.i, e.j, e.w) -> java.lang.Double.doubleToRawLongBits(e.corr)).toMap
     try for ((layout, in) <- Seq("series-major" -> values, "time-major" -> timeMajor, "repartition(7)" -> shuffled);
-             beta <- Seq(-1.0, 0.7); step <- Seq(8, 24)) {
-      val query = q(beta).copy(step = step)
-      val (got, gotStats) = Dangoron.run(in, query)
-      val gotEdges = got.collect()
-      val sk = Sketch.build(in, query).persist()
-      try {
-        val (expect, expectStats) = Dangoron.edges(sk, query)
-        val (g, x) = (bits(gotEdges), bits(expect.collect()))
-        assert(g.size === gotEdges.length && g.nonEmpty, s"$layout, $query: an edge twice, or none")
-        assert(g.keySet === x.keySet, s"$layout, $query")
-        assert(g === x, s"$layout, $query: corr bits")
-        assert(gotStats() === expectStats(), s"$layout, $query")
-      } finally sk.unpersist()
-    } finally { timeMajor.unpersist(); shuffled.unpersist() }
+             beta <- Seq(-1.0, 0.7); step <- Seq(8, 24))
+      assertRunMatchesEdges(layout, in, q(beta).copy(step = step))
+    finally { timeMajor.unpersist(); shuffled.unpersist() }
+  }
+
+  test("run gives the bits and RunStats of edges over built sketches with each series in two spans, and with one-series blocks") {
+    // Two partitions by t, each holding a run of every series: two spans of consecutive steps per series.
+    val split = values.repartitionByRange(2, col("t")).sortWithinPartitions("sid", "t").persist()
+    // Five series in four blocks: three blocks hold one series, and their diagonal tiles no pair.
+    val five = SparkTestData.toValuesDf(spark, SparkTestData.panel(71L, 5, len))
+    try {
+      val spans = Sketch.segments(split, q(0.7)).collect()
+      assert(spans.length === 2 * n && spans.forall(_.contiguous))
+      for (beta <- Seq(-1.0, 0.7)) {
+        assertRunMatchesEdges("split in two", split, q(beta))
+        assertRunMatchesEdges("five series", five, q(beta))
+        assertRunMatchesEdges("five series, repartition(64)", five.repartition(64), q(beta))
+      }
+    } finally split.unpersist()
   }
 
   /** Runs ``op`` with ``listener`` registered, after every earlier event has been delivered and before it is removed. */

@@ -103,6 +103,48 @@ class PairMathSpec extends AnyFunSuite {
     }
   }
 
+  test("the fill over two series' prefixes gives the bits of one pass of addBw and bwCorr, constant basic windows included") {
+    val b = 4; val nBw = 30; val nS = 5
+    val x = series(31L, 0, b * nBw); val y = series(31L, 1, b * nBw)
+    for (u <- 2 * b until 3 * b) x(u) = 2.0 // basic window 2 of x is constant: bwCorr counts it as −1
+    val sk = sketchOf(x, y, b)
+    assert(PairMath.bwCorr(sk, 2) === -1.0)
+    // The reference: Eq. 1's five sums and Eq. 2's one as a single running pass, snapshot after each basic window.
+    val (run, snaps, ups) = (new PairMath.WindowSums, new Array[PairMath.WindowSums](nBw + 1), new Array[Double](nBw + 1))
+    def snap(t: Int): Unit = {
+      val c = new PairMath.WindowSums
+      c.sMuX = run.sMuX; c.sMuY = run.sMuY; c.sXX = run.sXX; c.sYY = run.sYY; c.sXY = run.sXY
+      snaps(t) = c
+    }
+    snap(0)
+    for (t <- 0 until nBw) { run.addBw(sk, t, b); ups(t + 1) = ups(t) + (1.0 - PairMath.bwCorr(sk, t)); snap(t + 1) }
+    val bits = java.lang.Double.doubleToRawLongBits _
+    val series2 = new PairMath.Prefix().fill(new PairMath.Series(sk.meanX, sk.m2x, b), new PairMath.Series(sk.meanY, sk.m2y, b), sk.cp, b)
+    for (pre <- Seq(series2, new PairMath.Prefix().fill(sk, b))) {
+      for (t <- 0 to nBw) assert(bits(pre.upper(t)) === bits(ups(t)), s"t=$t")
+      for (from <- 0 to nBw - nS) {
+        val (hi, lo) = (snaps(from + nS), snaps(from))
+        val ws = new PairMath.WindowSums
+        ws.sMuX = hi.sMuX - lo.sMuX; ws.sMuY = hi.sMuY - lo.sMuY
+        ws.sXX = hi.sXX - lo.sXX; ws.sYY = hi.sYY - lo.sYY; ws.sXY = hi.sXY - lo.sXY
+        assert(bits(pre.corr(from, nS, b)) === bits(PairMath.corrFromSums(ws, nS, b)), s"from=$from")
+      }
+    }
+  }
+
+  test("the cross-product kernels sum each basic window's products in time order, four partners or one") {
+    val b = 8; val nBw = 12
+    val dev = Array.tabulate(5)(k => series(32L, k, b * nBw))
+    // The reference: one pair at a time, one product after the other.
+    def want(x: Int, y: Int) = Array.tabulate(nBw)(t => (t * b until (t + 1) * b).foldLeft(0.0)((a, u) => a + dev(x)(u) * dev(y)(u)))
+    def bits(a: Array[Double]) = a.map(java.lang.Double.doubleToRawLongBits).toSeq
+    val out = Array.fill(4)(new Array[Double](nBw))
+    Sketch.cross4(dev(0), dev(1), dev(2), dev(3), dev(4), out(0), out(1), out(2), out(3), b)
+    for (k <- 0 until 4) assert(bits(out(k)) === bits(want(0, k + 1)), s"partner ${k + 1} of four")
+    // The partner as the pass's own series: the products are the same, factor for factor swapped.
+    for (k <- 1 to 4) { Sketch.cross1(dev(k), dev(0), out(0), b); assert(bits(out(0)) === bits(want(0, k)), s"partner $k alone") }
+  }
+
   test("corrFromSums matches windowCorr") {
     val sk = sketchOf(series(7L, 0, 64), series(7L, 1, 64), 4)
     val sums = PairMath.buildSums(sk, 3, 5, 4)

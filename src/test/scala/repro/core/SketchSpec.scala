@@ -327,6 +327,89 @@ class SketchSpec extends SparkSpec {
     }
   }
 
+  test("a span of consecutive steps survives Java and Kryo serialization bit for bit, at 8 bytes a reading on Java's wire") {
+    val vals = Array.tabulate(40)(u => math.sin(u) * 1e6)
+    val (contiguous, scattered) = (Span(7, Array(16), vals, 16L, 96, 8), Span(7, Array.range(16, 56), vals, 16L, 96, 8))
+    assert(contiguous.contiguous && !scattered.contiguous && contiguous.steps.toSeq === scattered.steps.toSeq)
+    val conf = spark.sparkContext.getConf
+    for (ser <- Seq(new JavaSerializer(conf), new KryoSerializer(conf))) {
+      val inst = ser.newInstance()
+      val back = inst.deserialize[Span](inst.serialize(contiguous))
+      assert(back.contiguous, ser.getClass.getSimpleName)
+      assert((back.sid, back.index.toSeq, back.start, back.len, back.bwSize) === ((7, Seq(16), 16L, 96, 8)))
+      assert(back.steps.toSeq === (16 until 56))
+      assert(back.vals.map(doubleToRawLongBits).toSeq === vals.map(doubleToRawLongBits).toSeq)
+    }
+    // Java's wire: the same block, less the steps after the first.
+    val java = new JavaSerializer(conf).newInstance()
+    assert(java.serialize(scattered).remaining - java.serialize(contiguous).remaining === 4 * (vals.length - 1))
+  }
+
+  test("segments keep one step for a run of consecutive readings, every step otherwise") {
+    val shuffled = values.repartition(7).persist()
+    try {
+      val byLayout = Seq("series-major" -> values, "shuffled" -> shuffled).map { case (l, in) => l -> spansByPartition(in, q).flatten }
+      for ((layout, spans) <- byLayout; s <- spans) {
+        val consecutive = s.steps.indices.forall(r => s.steps(r) == s.steps(0) + r)
+        assert(s.contiguous === consecutive, s"$layout: sid=${s.sid}")
+      }
+      assert(byLayout.head._2.forall(_.contiguous) && !byLayout.last._2.forall(_.contiguous))
+    } finally shuffled.unpersist()
+  }
+
+  /** The rows of ``parts`` as input, row for row: ``parts(p)`` is input partition ``p``, in order. */
+  private def inPartitions(parts: Seq[Seq[(Int, Long, Double)]]): DataFrame = {
+    import spark.implicits._
+    spark.sparkContext.parallelize(parts, parts.length).flatMap(identity).toDF("sid", "t", "v")
+  }
+
+  /** Series 3's readings at ``steps``, in that order. */
+  private def sid3(steps: Seq[Int]): Seq[(Int, Long, Double)] = steps.map(u => (3, u.toLong, matrix(3)(u)))
+
+  test("segments reject a duplicate and a missing reading across two contiguous spans, or a contiguous and a scattered one") {
+    val others = for (sid <- 0 until n if sid != 3; u <- 0 until len) yield (sid, u.toLong, matrix(sid)(u))
+    val scattered = (48 until len).reverse
+    for ((parts, spanKinds, error) <- Seq(
+           (Seq(sid3(0 to 50), sid3(40 until len)), Seq(true, true), "duplicate reading at sid=3, t=40"),
+           (Seq(sid3(0 until 40), sid3(41 until len)), Seq(true, true), "missing reading at sid=3, t=40"),
+           (Seq(sid3(0 until 48), sid3(scattered :+ 40)), Seq(true, false), "duplicate reading at sid=3, t=40"),
+           (Seq(sid3(0 until 48), sid3(scattered.filter(_ != 70))), Seq(true, false), "missing reading at sid=3, t=70"))) {
+      val bad = inPartitions(Seq(others ++ parts(0), parts(1)))
+      assert(spansByPartition(bad, q).map(_.filter(_.sid == 3).map(_.contiguous).toSeq).toSeq === spanKinds.map(Seq(_)))
+      val ex = rejection(bad)
+      assert(ex.getMessage.contains(error), ex.getMessage)
+    }
+  }
+
+  /** Series ``sid`` of ``m`` as a tile holds it: its values and each basic window's mean and m2. */
+  private def seriesRow(m: Array[Array[Double]], sid: Int, b: Int): SeriesRow = {
+    val stats = (0 until m(sid).length / b).map(t => Sketch.meanM2(m(sid), t * b, (t + 1) * b))
+    SeriesRow(sid, m(sid), stats.map(_._1).toArray, stats.map(_._2).toArray)
+  }
+
+  test("tile pairs come in pairIndices order with each pair's cross products bit for bit, for partner runs of 1 to 7") {
+    val m = Array.tabulate(16)(sid => series(70L, sid, len))
+    val rows = m.indices.map(seriesRow(m, _, q.bwSize)).toArray
+    def check(tile: Tile): Unit = {
+      val (s, pairs) = (tile.series, new TilePairs(tile, q))
+      val got = Iterator.continually(pairs.advance()).takeWhile(identity).map(_ => (pairs.x, pairs.y, pairs.cp.clone())).toSeq
+      val at = s"tile (${tile.bi}, ${tile.bj}) of ${tile.blockI.map(_.sid).toSeq} and ${tile.blockJ.map(_.sid).toSeq}"
+      assert(got.map(p => (p._1, p._2)) === tile.pairIndices.toSeq, at)
+      for ((x, y, cp) <- got) {
+        assert(s(x).sid < s(y).sid, at)
+        assert(cp.map(doubleToRawLongBits).toSeq === sketchOf(s(x).vals, s(y).vals, q.bwSize).cp.map(doubleToRawLongBits).toSeq, at)
+      }
+    }
+    check(Tile(0, 0, rows.take(8), Array.empty)) // partner runs of 7 down to 1
+    // Block I's sids sit among block J's, so pairs swap their order; block J holds 1 to 7 series.
+    for (size <- 1 to 7) check(Tile(0, 1, Array(rows(1), rows(6)), rows.filter(r => r.sid != 1 && r.sid != 6).take(size)))
+    // A block with one series; a block with none.
+    for (tile <- Seq(Tile(0, 0, Array(rows(3)), Array.empty), Tile(0, 1, Array(rows(3)), Array.empty), Tile(0, 1, Array.empty, rows.take(3)))) {
+      check(tile)
+      assert(tile.pairIndices.isEmpty)
+    }
+  }
+
   test("build over sid as long and t as int gives bit-identical sketch rows") {
     def bits(in: DataFrame) = Sketch.build(in, q16).collect().map { r =>
       (r.start, r.bwSize, r.sid.toSeq, r.x.toSeq, r.y.toSeq,
